@@ -49,9 +49,11 @@ struct InterrogatorConfig {
 };
 
 /// Throw std::invalid_argument (via ROS_EXPECT) when `config` holds
-/// values the pipeline would silently misbehave on: frame_stride < 1,
-/// non-positive DBSCAN eps / min_points, or a non-finite / negative
-/// decode FoV. Called by the Interrogator constructor and decode_drive.
+/// values the pipeline would silently misbehave on: a non-finite or
+/// non-positive chirp frame rate, frame_stride < 1, non-positive DBSCAN
+/// eps / min_points, or a non-finite / negative decode FoV. Called by
+/// the Interrogator constructor and by every StreamingInterrogator
+/// construction or rebind (so by decode_drive too).
 void validate(const InterrogatorConfig& config);
 
 /// One decoded tag candidate.
@@ -76,7 +78,8 @@ class Interrogator {
 
   const InterrogatorConfig& config() const { return config_; }
 
-  /// Run the full pipeline over one drive-by.
+  /// Run the full pipeline over one drive-by: a full-mode
+  /// StreamingInterrogator (unbounded window) driven by run_frames().
   InterrogationReport run(const ros::scene::Scene& scene,
                           const ros::scene::StraightDrive& drive) const;
 
@@ -89,7 +92,8 @@ class Interrogator {
 /// processing, running only the switched-Tx spotlight sampling and the
 /// spatial decoder. Fast enough to run at the full 1 kHz frame rate,
 /// which the micro-benchmark sweeps (Figs. 14-18) need for their
-/// spectral noise floor.
+/// spectral noise floor. A decode-mode StreamingInterrogator driven by
+/// run_frames().
 struct DecodeDriveResult {
   std::vector<RssSample> samples;
   ros::tag::DecodeResult decode;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "ros/dsp/spectrum.hpp"
 #include "ros/pipeline/interrogator.hpp"
@@ -62,13 +63,34 @@ std::string clusters_json(std::span<const Cluster> clusters,
 /// Classified candidates (RSS-loss discrimination verdicts).
 std::string candidates_json(std::span<const TagCandidate> candidates);
 
-/// Range-FFT stage summary: per-frame peak power (decimated) plus full
-/// magnitude snapshots of up to `max_snapshots` representative frames
-/// (first / middle / last), each downsampled to `max_bins`.
+/// Range-FFT stage summary accumulated frame by frame: every frame's
+/// peak power (non-coherent across Rx) plus full copies of the
+/// representative frames (first / middle / last of the pass), so a
+/// read can build the artifact without retaining its profiles.
+struct RangeFftSummary {
+  std::size_t pass_frames = 0;  ///< picks the snapshot frames
+  std::vector<double> peak_power;
+  std::vector<std::size_t> snapshot_frames;
+  std::vector<ros::radar::RangeProfile> snapshots;
+
+  /// Start a pass of `n_frames` (clears, keeping capacity).
+  void reset(std::size_t n_frames);
+  /// Record frame `i`; frames arrive in order.
+  void add(std::size_t i, const ros::radar::RangeProfile& profile);
+};
+
+/// Range-FFT stage artifact: per-frame peak power (decimated to at most
+/// `max_frames`) plus the snapshots' magnitudes (each downsampled to
+/// `max_bins`, with the RNG stream seed its noise came from).
+std::string range_fft_json(const RangeFftSummary& summary,
+                           std::uint64_t noise_seed,
+                           std::size_t max_bins = 256,
+                           std::size_t max_frames = 2048);
+
+/// The same artifact for a whole pass of profiles.
 std::string range_profiles_json(
     std::span<const ros::radar::RangeProfile> profiles,
-    std::uint64_t noise_seed, std::size_t max_snapshots = 3,
-    std::size_t max_bins = 256, std::size_t max_frames = 2048);
+    std::uint64_t noise_seed);
 
 /// Annotate the pending read with the runtime that produced it:
 /// ros::exec thread count and active ros::simd backend. These must NOT

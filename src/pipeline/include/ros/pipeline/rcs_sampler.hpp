@@ -44,6 +44,10 @@ bool sample_rss_frame(const ros::radar::RangeProfile& profile,
                       const ros::radar::RadarArray& array, double hz,
                       std::size_t frame_index, RssSample& out);
 
+/// Default RSS floor of the decoder series: low enough to keep every
+/// physical sample.
+inline constexpr double kDecoderSeriesFloorDbm = -1e9;
+
 /// Split samples into u / linear-power vectors for the decoder, keeping
 /// only samples within `max_abs_u` (angular-FoV truncation, Fig. 17) and
 /// above `min_rss_dbm`.
@@ -51,8 +55,8 @@ struct DecoderSeries {
   std::vector<double> u;
   std::vector<double> rss_linear;
 };
-DecoderSeries to_decoder_series(std::span<const RssSample> samples,
-                                double max_abs_u = 1.0,
-                                double min_rss_dbm = -1e9);
+DecoderSeries to_decoder_series(
+    std::span<const RssSample> samples, double max_abs_u = 1.0,
+    double min_rss_dbm = kDecoderSeriesFloorDbm);
 
 }  // namespace ros::pipeline

@@ -1,30 +1,24 @@
-// Shared interrogation pipeline stages (ros::pipeline).
-//
-// The batch entry points (`Interrogator::run`, `decode_drive`) and the
-// streaming engine (`StreamingInterrogator`) must produce bit-identical
-// output — that is the contract the metamorphic equivalence suite
-// enforces, with no epsilon. The only way to keep that contract cheap
-// is to make both paths execute the *same code* on the same inputs:
-// this header holds the per-frame heavy stage (synthesize -> range FFT
-// -> detect), the per-cluster classify/decode stage, and the
-// observability helpers that used to live in interrogator.cpp's
-// anonymous namespace.
+// Interrogation pipeline stages (ros::pipeline): the per-frame heavy
+// stage (synthesize -> range FFT -> detect), the per-cluster
+// classify/decode stage, and the observability helpers the
+// StreamingInterrogator (ros/pipeline/streaming.hpp) — the one
+// orchestration behind `Interrogator::run` and `decode_drive` — books
+// through. The stage functions are public so a replay or reference
+// pipeline can call them layer by layer.
 //
 // Everything here is deterministic per (config, scene, pose, frame
 // index): the per-frame stage derives its RNG stream from
 // derive_stream_seed(noise_seed, i), so it can run on any thread, in
-// any order, concurrently — batch runs it under exec::parallel_for,
-// streaming runs it from a producer thread feeding an SPSC queue, and
-// both get the same bits.
+// any order, concurrently — the engine's run_frames() runs it under
+// exec::parallel_for, the corridor under its synthesis shard, and both
+// get the same bits.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ros/obs/alloc.hpp"
@@ -67,8 +61,8 @@ struct FrameWorkspace {
 };
 
 /// Output of the full-mode per-frame stage: both Tx passes' range
-/// profiles plus their detections. Moved between threads by value (the
-/// streaming producer ships these through the SPSC queue).
+/// profiles plus their detections, handed from the synthesizing thread
+/// to the in-order consumer inside a FramePacket.
 struct FrameArtifacts {
   ros::radar::RangeProfile normal;
   ros::radar::RangeProfile switched;
@@ -90,9 +84,8 @@ double decode_max_abs_u(const InterrogatorConfig& config);
 /// from any thread — output depends only on (config, scene, pose, i).
 class FrameStage {
  public:
-  /// `label_prefix` names the ScopedTimer spans ("interrogate",
-  /// "decode_drive", "stream", ...), keeping each entry point's
-  /// telemetry separable.
+  /// `label_prefix` names the ScopedTimer spans ("interrogate" or
+  /// "decode_drive"), keeping each read kind's telemetry separable.
   FrameStage(const InterrogatorConfig& config,
              const ros::scene::Scene& scene, std::string label_prefix);
 
@@ -121,7 +114,9 @@ class FrameStage {
                   ros::radar::RangeProfile& out) const;
 
   /// Book the accumulated per-thread stage times into `tel`, scaled to
-  /// the frame loop's wall time (`include_detect` = full mode).
+  /// the frame loop's wall time (`include_detect` = full mode): frame
+  /// stages run concurrently, so their summed thread times can exceed
+  /// the wall time, and telemetry keeps stages inside total_ms.
   void book_frames(PipelineTelemetry& tel, double wall_ms,
                    bool include_detect) const;
 
@@ -141,10 +136,10 @@ class FrameStage {
 
 /// Classify every dense cluster in `report.clusters` (spotlight both Tx
 /// passes, RSS-loss feature) and decode the tag candidates, appending
-/// to report.candidates / report.tags / report.telemetry — the batch
-/// pipeline's whole back half, shared with the streaming finalizer.
-/// `profiles_*` and `estimated` must be frame-aligned. Emits the same
-/// probe taps as the batch path when a probe capture is active.
+/// to report.candidates / report.tags / report.telemetry — the full
+/// pipeline's back half, run by StreamingInterrogator::finalize_report.
+/// `profiles_*` and `estimated` must be frame-aligned. Emits the
+/// per-tag probe taps when a probe capture is active.
 /// Returns true when at least one candidate series reached the coding
 /// band (the funnel's "aperture" verdict).
 bool classify_and_decode_clusters(
@@ -164,34 +159,12 @@ TagDecodeTelemetry decode_telemetry(const ros::tag::DecodeResult& decode,
 /// Mean spotlighted RSS in dBm (power-domain mean over the samples).
 double mean_rss_dbm(std::span<const RssSample> samples);
 
-/// Frame stages run concurrently, so the summed per-thread stage times
-/// can exceed the wall time of the frame loop. Telemetry keeps the
-/// wall-clock convention (stages fit inside total_ms): book the loop's
-/// wall time split across the stages in proportion to their thread-time
-/// shares.
-void book_frame_stages(PipelineTelemetry& tel, double wall_ms,
-                       std::initializer_list<std::pair<const char*, double>>
-                           stages);
-
 /// Publish the mean heap allocations per frame observed across a frame
 /// loop (process-wide counter delta; nothing else runs during the
 /// loop). No-op when the ros::obs allocation hook is compiled out.
 void record_frame_loop_allocs(const char* gauge,
                               const ros::obs::AllocCounters& before,
                               std::size_t n_frames);
-
-/// Per-run funnel counters (runs / frames / points / clusters /
-/// candidates / tags) for the exporters.
-void record_funnel(const PipelineTelemetry& t);
-
-/// Per-read funnel counters for the JSONL/Prometheus exporters: one
-/// attempted read, and one increment per funnel stage it survived.
-void record_read_funnel(bool detected, bool clustered, bool aperture,
-                        bool decoded);
-
-/// Per-frame stall budget for the watchdog: ROS_OBS_FRAME_DEADLINE_MS
-/// (<= 0 disables the guard), default 5000 ms.
-double frame_deadline_ms();
 
 /// Observability session setup shared by every entry point: start the
 /// env-configured snapshot exporter and crash handlers (both no-ops

@@ -1,10 +1,5 @@
-// Streaming interrogation engine (ros::pipeline).
-//
-// `Interrogator::run` and `decode_drive` are one-shot batch jobs:
-// collect every frame, then merge, cluster, and decode. That caps
-// memory at O(drive length) and means the first readout arrives only
-// after the whole pass. `StreamingInterrogator` restructures the same
-// pipeline into a per-frame state machine:
+// Interrogation engine (ros::pipeline): the one implementation of the
+// paper Sec. 6 read pipeline, as a per-frame state machine.
 //
 //   synthesize(i)  — the heavy stateless stage (waveform synthesis,
 //                    range FFT, detection), callable from ANY thread in
@@ -16,34 +11,39 @@
 //                    grid-DBSCAN insertion (+ sliding-window eviction),
 //                    per-frame spotlight RSS sampling, and the
 //                    early-emit decode gate.
-//   finalize_*()   — the terminal stage producing exactly the batch
-//                    result types.
+//   finalize_*()   — the terminal stage producing the result types.
 //
-// Batch-equivalence contract (enforced bit-for-bit, no epsilon, by the
-// metamorphic suite in tests/integration/test_streaming_equivalence):
+// `decode_drive` and `Interrogator::run` are thin drivers: each builds
+// the engine in its mode, calls run_frames() — the shared frame driver
+// that synthesizes blocks of frames under ros::exec::parallel_for and
+// consumes them in order — and returns finalize_decode() or
+// finalize_report(). The corridor runtime drives many engines with its
+// own shard scheduler through the same synthesize/consume/finalize
+// calls.
+//
+// Window contract:
 //
 //   * decode mode (tag position known — the fleet-scale service mode):
-//     finalize_decode() is bit-identical to decode_drive() for EVERY
-//     window size, thread count, SIMD backend, decoder backend, and
-//     frame-delivery chunking, because the spotlight samples are taken
-//     per frame and never need the profile again.
-//   * full mode: finalize_report() is bit-identical to
-//     Interrogator::run() whenever the window covers the whole drive
-//     (window_frames == 0, i.e. unbounded, or >= n_frames). A bounded
-//     window lawfully degrades: the report covers only the surviving
-//     window (documented in DESIGN.md §11), and the incremental
-//     clustering still matches batch DBSCAN of exactly those surviving
-//     points — that invariant holds for every window size.
+//     finalize_decode() is the same for EVERY window size, thread
+//     count, SIMD backend, decoder backend, and frame-delivery chunking,
+//     because the spotlight samples are taken per frame and never need
+//     the profile again.
+//   * full mode: an unbounded window (window_frames == 0, or
+//     >= n_frames) reports the whole drive — that is Interrogator::run.
+//     A bounded window lawfully degrades: the report covers only the
+//     surviving window (DESIGN.md §11), and the incremental clustering
+//     still matches batch DBSCAN of exactly those surviving points.
 //
-// Both paths run the same code (ros/pipeline/stages.hpp) on the same
-// inputs, so the equivalence is by construction; the test suite guards
-// the construction.
+// Both contracts are checked bit for bit, with no epsilon, against the
+// naive serial reference in ros/testkit/reference.hpp (batch
+// extract_clusters, sample_rss, mean_rss_dbm over whole-drive vectors)
+// by tests/integration/test_streaming_equivalence.
 //
 // Early emit (decode mode): with FoV truncation active and a
 // jitter-free tracking model, u = sin(view angle) is strictly monotone
 // along a straight drive, so once the latest sample leaves the FoV the
 // decoder series is provably final — the engine decodes immediately and
-// `emitted_decode()` equals the batch decode bit for bit (the
+// `emitted_decode()` equals the final decode bit for bit (the
 // "no-retraction" law). finalize_decode() re-decodes the final series
 // and counts any disagreement in `pipeline.stream.emit_mismatch`
 // (asserted zero in tests).
@@ -53,12 +53,6 @@
 // `retain_samples = false` to drop the O(n_frames) output sample list
 // for soak runs. Full mode retains the sliding window (profiles +
 // cloud points + DBSCAN index) — O(window) when bounded.
-//
-// Threaded drivers connect synthesize -> consume with the lock-free
-// SPSC queue from ros/exec/spsc_queue.hpp: a bounded queue gives
-// explicit backpressure (a slow consumer throttles the producer), and
-// FIFO delivery preserves the in-order merge the bit-determinism
-// contract needs.
 #pragma once
 
 #include <cstddef>
@@ -66,9 +60,9 @@
 #include <deque>
 #include <vector>
 
-#include "ros/dsp/series_window.hpp"
 #include "ros/pipeline/incremental_dbscan.hpp"
 #include "ros/pipeline/interrogator.hpp"
+#include "ros/pipeline/provenance.hpp"
 #include "ros/pipeline/stages.hpp"
 #include "ros/scene/tracking.hpp"
 #include "ros/tag/codec.hpp"
@@ -78,23 +72,17 @@ namespace ros::pipeline {
 struct StreamingOptions {
   /// Sliding-window length in frames for full mode: profiles, cloud
   /// points, and DBSCAN membership older than this are evicted. 0 keeps
-  /// everything (the batch-equivalent configuration). Ignored in decode
-  /// mode, which never retains profiles.
+  /// everything (Interrogator::run). Ignored in decode mode, which never
+  /// retains profiles.
   std::size_t window_frames = 0;
   /// Decode mode: emit the readout as soon as it is provably final
   /// (FoV truncation active, jitter-free tracking, observed-monotone u
   /// past the FoV edge, decoder preconditions met).
   bool early_emit = false;
-  /// Keep the per-frame RssSample list in the DecodeDriveResult (batch
-  /// parity). false drops it for bounded-memory soak runs; the decode
-  /// itself is unaffected.
+  /// Keep the per-frame RssSample list in the DecodeDriveResult. false
+  /// drops it for bounded-memory soak runs; the decode itself is
+  /// unaffected.
   bool retain_samples = true;
-  /// SPSC queue depth for the threaded drivers — the backpressure knob.
-  std::size_t queue_capacity = 64;
-  /// Threaded drivers synthesize this many frames per parallel block
-  /// (pushed in order), so multi-core synthesis feeds the sequential
-  /// consumer without reordering.
-  std::size_t producer_block = 16;
 };
 
 /// One frame's artifacts in flight between the synthesis stage and the
@@ -105,11 +93,14 @@ struct FramePacket {
   ros::radar::RangeProfile profile;
 };
 
+/// Per-mode metric, span, and probe names (defined in streaming.cpp).
+struct ReadNames;
+
 class StreamingInterrogator {
  public:
   /// Decode mode: the tag's position is known (e.g. from a previous
   /// pass); only switched-Tx spotlight sampling and the spatial decoder
-  /// run. Bit-identical to decode_drive() at any window size.
+  /// run. Reads as kind "decode_drive".
   StreamingInterrogator(const InterrogatorConfig& config,
                         const ros::scene::Scene& scene,
                         const ros::scene::StraightDrive& drive,
@@ -117,8 +108,7 @@ class StreamingInterrogator {
                         StreamingOptions opts = {});
 
   /// Full mode: detection, clustering, discrimination, and decode.
-  /// Bit-identical to Interrogator::run() when the window covers the
-  /// drive.
+  /// Reads as kind "interrogate".
   StreamingInterrogator(const InterrogatorConfig& config,
                         const ros::scene::Scene& scene,
                         const ros::scene::StraightDrive& drive,
@@ -154,11 +144,20 @@ class StreamingInterrogator {
   void synthesize_into(std::size_t i, FramePacket& out) const;
 
   /// Sequential state machine; packets MUST arrive in frame order
-  /// (enforced). The SPSC queue preserves this by construction.
+  /// (enforced).
   void consume(FramePacket&& packet);
 
-  /// synthesize + consume in one call (the single-threaded driver).
+  /// synthesize + consume in one call (one frame, calling thread).
   void push_frame(std::size_t i);
+
+  /// The shared frame driver: synthesize every remaining frame in
+  /// blocks under ros::exec::parallel_for (any order within a block)
+  /// and consume each block in frame order. Carries the per-frame
+  /// instrumentation: watchdog guard, `<kind>.frame.ms` histograms,
+  /// flight-recorder frame records, the
+  /// `<kind>.frame_loop.allocs_per_frame` gauge, and runtime
+  /// introspection.
+  void run_frames();
 
   /// Decode mode: true once the early-emit gate fired. The emitted
   /// decode is final — finalize_decode() returns the same bits.
@@ -171,19 +170,21 @@ class StreamingInterrogator {
   InterrogationReport finalize_report();
 
  private:
+  void begin_read();
+  void synthesize_frame(std::size_t i, FramePacket& out) const;
   void evict_before(std::size_t min_live_frame);
   void maybe_early_emit(std::size_t frame_index);
-  void begin_decode_probe();
 
   InterrogatorConfig config_;  ///< own copy: the engine may outlive the caller's
   const ros::scene::Scene* scene_;
   const ros::scene::StraightDrive* drive_;
   StreamingOptions opts_;
   bool decode_mode_;
+  const ReadNames* names_;
   ros::scene::Vec2 tag_position_{0.0, 0.0};
 
   FrameStage stage_;
-  double rate_hz_;
+  double rate_hz_ = 1.0;
   std::size_t n_frames_ = 0;
   ros::scene::Vec2 road_{1.0, 0.0};
   double max_abs_u_ = 1.0;
@@ -192,12 +193,14 @@ class StreamingInterrogator {
   std::size_t consumed_ = 0;
   bool finalized_ = false;
   bool probing_ = false;
+  std::int64_t begin_us_ = 0;  ///< read start on the trace clock
 
   // --- decode-mode state ---------------------------------------------
   std::vector<RssSample> samples_;   ///< retained when opts_.retain_samples
   double sum_rss_w_ = 0.0;           ///< running mean accumulator
   std::size_t n_samples_ = 0;
-  ros::dsp::SeriesWindow series_;    ///< decoder input (in-FoV samples)
+  DecoderSeries series_;             ///< decoder input (in-FoV samples)
+  RangeFftSummary probe_range_fft_;  ///< bundle artifact, while probing
   bool emit_eligible_ = false;       ///< provability preconditions hold
   bool mono_inc_ok_ = true;          ///< observed u nondecreasing so far
   bool mono_dec_ok_ = true;          ///< observed u nonincreasing so far
@@ -220,34 +223,11 @@ class StreamingInterrogator {
   IncrementalDbscan dbscan_;
   PointCloud scratch_cloud_;          ///< per-frame accumulate target
 
-  mutable AtomicMs synth_wall_ms_;    ///< producer-side stage time
-  double consume_ms_ = 0.0;
+  // --- stage times booked into the telemetry -------------------------
+  mutable AtomicMs synth_ms_;  ///< frame stage (wall time under run_frames)
+  double track_ms_ = 0.0;
+  double stage_ms_ = 0.0;      ///< sample_rss (decode) / cluster (full)
+  double decode_ms_ = 0.0;     ///< decode mode, early emit included
 };
-
-/// Single-threaded drivers: synthesize and consume frame by frame on
-/// the calling thread. The cheapest way to get streaming semantics and
-/// the reference the threaded drivers are tested against.
-DecodeDriveResult streaming_decode_drive(
-    const ros::scene::Scene& scene, const ros::scene::StraightDrive& drive,
-    const ros::scene::Vec2& tag_position,
-    const InterrogatorConfig& config = {}, StreamingOptions opts = {});
-
-InterrogationReport streaming_run(const ros::scene::Scene& scene,
-                                  const ros::scene::StraightDrive& drive,
-                                  const InterrogatorConfig& config = {},
-                                  StreamingOptions opts = {});
-
-/// Threaded drivers: a producer thread synthesizes frames (in parallel
-/// blocks over ros::exec, pushed in order) onto a bounded SPSC queue;
-/// the calling thread consumes. Output is bit-identical to the
-/// single-threaded drivers at every queue capacity and thread count.
-DecodeDriveResult streaming_decode_drive_threaded(
-    const ros::scene::Scene& scene, const ros::scene::StraightDrive& drive,
-    const ros::scene::Vec2& tag_position,
-    const InterrogatorConfig& config = {}, StreamingOptions opts = {});
-
-InterrogationReport streaming_run_threaded(
-    const ros::scene::Scene& scene, const ros::scene::StraightDrive& drive,
-    const InterrogatorConfig& config = {}, StreamingOptions opts = {});
 
 }  // namespace ros::pipeline

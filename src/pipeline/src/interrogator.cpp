@@ -3,31 +3,14 @@
 #include <cmath>
 
 #include "ros/common/expect.hpp"
-#include "ros/common/units.hpp"
-#include "ros/obs/crash.hpp"
-#include "ros/obs/flight_recorder.hpp"
-#include "ros/obs/log.hpp"
-#include "ros/obs/metrics.hpp"
-#include "ros/obs/probe.hpp"
-#include "ros/obs/timer.hpp"
-#include "ros/exec/thread_pool.hpp"
-#include "ros/pipeline/provenance.hpp"
-#include "ros/pipeline/stages.hpp"
-#include "ros/tag/codebook.hpp"
+#include "ros/pipeline/streaming.hpp"
 
 namespace ros::pipeline {
 
-using namespace ros::common;
-using ros::radar::RangeProfile;
-using ros::scene::Vec2;
-
-namespace {
-
-constexpr const char* kLog = "pipeline";
-
-}  // namespace
-
 void validate(const InterrogatorConfig& config) {
+  ROS_EXPECT(std::isfinite(config.chirp.frame_rate_hz) &&
+                 config.chirp.frame_rate_hz > 0.0,
+             "chirp frame rate must be finite and > 0");
   ROS_EXPECT(config.frame_stride >= 1, "frame stride must be >= 1");
   ROS_EXPECT(config.dbscan.eps_m > 0.0, "DBSCAN eps must be > 0");
   ROS_EXPECT(config.dbscan.min_points > 0,
@@ -45,378 +28,18 @@ Interrogator::Interrogator(InterrogatorConfig config)
 InterrogationReport Interrogator::run(
     const ros::scene::Scene& scene,
     const ros::scene::StraightDrive& drive) const {
-  obs_session_begin();
-  namespace probe = ros::obs::probe;
-  const bool probing =
-      probe::armed() && probe::begin_read("interrogate",
-                                          config_.noise_seed,
-                                          config_digest(config_));
-  if (probing) {
-    annotate_probe_runtime();
-    probe::annotate("decoder_backend",
-                    ros::tag::to_string(ros::tag::resolve_decoder_backend(
-                        config_.decoder.backend)));
-    probe::annotate("frame_stride",
-                    static_cast<double>(config_.frame_stride));
-    probe::annotate("decode_fov_rad", config_.decode_fov_rad);
-    probe::annotate("extra_noise_dbm", config_.extra_noise_dbm);
-  }
-  auto& reg = ros::obs::MetricsRegistry::global();
-  ros::obs::ScopedTimer run_timer(
-      "interrogate.run", "pipeline",
-      &reg.histogram("interrogate.run.ms"));
-  InterrogationReport report;
-  PipelineTelemetry& tel = report.telemetry;
-
-  // Ground-truth poses at the frame rate; the decoder sees only the
-  // tracking estimate.
-  ros::obs::ScopedTimer track_timer("interrogate.track", "pipeline");
-  const auto truth = drive.frames(config_.chirp.frame_rate_hz /
-                                  static_cast<double>(config_.frame_stride));
-  const ros::scene::TrackingModel tracker(config_.tracking);
-  const auto estimated = tracker.estimate(truth);
-  tel.add_stage("track", track_timer.stop());
-  report.n_frames = truth.size();
-  tel.n_frames = truth.size();
-
-  ROS_LOG_INFO(kLog, "interrogation started",
-               ros::obs::kv("frames", truth.size()),
-               ros::obs::kv("frame_stride", config_.frame_stride),
-               ros::obs::kv("objects", scene.objects().size()));
-
-  const FrameStage stage(config_, scene, "interrogate");
-
-  // Per-frame results land in pre-sized slots; the merge below walks
-  // them in frame order, so the report is identical no matter how many
-  // threads executed the loop.
-  std::vector<FrameArtifacts> frames(truth.size());
-  std::vector<RangeProfile> profiles_normal;
-  std::vector<RangeProfile> profiles_switched;
-  profiles_normal.reserve(truth.size());
-  profiles_switched.reserve(truth.size());
-
-  {
-    // One trace span for the whole frame loop; the per-sub-stage cost
-    // is accumulated into the telemetry (per-frame spans would swamp
-    // the trace at the 1 kHz frame rate).
-    ros::obs::ScopedTimer frames_timer("interrogate.frames", "pipeline");
-    ros::obs::Histogram& frame_hist =
-        reg.histogram("interrogate.frame.ms");
-    ros::obs::SlidingHistogram& frame_whist =
-        reg.windowed_histogram("interrogate.frame.ms");
-    auto& flight = ros::obs::FlightRecorder::global();
-    const std::uint32_t frame_id = flight.intern("interrogate.frame");
-    const std::uint32_t rng_id = flight.intern("interrogate.rng_stream");
-    const double deadline_ms = frame_deadline_ms();
-
-    // Each frame draws noise from its own counter-derived RNG stream,
-    // so frame i sees the same noise whether the loop runs on 1 thread
-    // or N (and independently of every other frame).
-    const auto allocs_before = ros::obs::alloc_counters();
-    ros::exec::parallel_for(0, truth.size(), [&](std::size_t i) {
-      const double frame_t0 = frames_timer.elapsed_ms();
-      // One sampling decision covers the frame's begin/seed/end records
-      // so sampled frames land complete in the flight ring.
-      const bool sampled = flight.enabled() && flight.should_sample();
-      if (sampled) {
-        flight.record(ros::obs::FlightKind::frame_begin, frame_id, i);
-        flight.record(ros::obs::FlightKind::rng_seed, rng_id,
-                      stage.stream_seed(i));
-      }
-      const ros::obs::Watchdog::Guard wd("interrogate.frame",
-                                         deadline_ms, i);
-      stage.run_full(truth[i], i, frames[i]);
-      const double frame_ms = frames_timer.elapsed_ms() - frame_t0;
-      frame_hist.observe(frame_ms);
-      frame_whist.observe(frame_ms);
-      if (sampled) {
-        flight.record(ros::obs::FlightKind::frame_end, frame_id, i);
-      }
-    });
-    record_frame_loop_allocs("interrogate.frame_loop.allocs_per_frame",
-                             allocs_before, truth.size());
-    record_runtime_introspection(truth.size());
-
-    // Point cloud from both Tx passes (the radar time-multiplexes the
-    // two Tx antennas anyway): clutter anchors through the normal pass,
-    // the tag through the switched pass where its retro response is
-    // strong. Points are placed with the *estimated* pose as the paper
-    // does; merging in frame order keeps the cloud deterministic.
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      FrameArtifacts& fr = frames[i];
-      accumulate(report.cloud, fr.det_normal, estimated[i], i);
-      accumulate(report.cloud, fr.det_switched, estimated[i], i);
-      profiles_normal.push_back(std::move(fr.normal));
-      profiles_switched.push_back(std::move(fr.switched));
-    }
-    stage.book_frames(tel, frames_timer.stop(), /*include_detect=*/true);
-  }
-  tel.n_points = report.cloud.points.size();
-  if (probe::capturing()) {
-    probe::funnel("synthesized", !truth.empty(),
-                  std::to_string(truth.size()) + " frames");
-    probe::funnel("detected", !report.cloud.points.empty(),
-                  std::to_string(report.cloud.points.size()) +
-                      " point-cloud points");
-    probe::stage_artifact(
-        "range_fft_normal",
-        range_profiles_json(profiles_normal, config_.noise_seed));
-    probe::stage_artifact(
-        "range_fft_switched",
-        range_profiles_json(profiles_switched, config_.noise_seed));
-    probe::stage_artifact("pointcloud", pointcloud_json(report.cloud));
-  }
-
-  {
-    ros::obs::ScopedTimer t_cluster(
-        "interrogate.cluster", "pipeline",
-        &reg.histogram("interrogate.cluster.ms"));
-    report.clusters = filter_dense(
-        extract_clusters(report.cloud, config_.dbscan),
-        config_.tag_detector.min_density, config_.tag_detector.min_points);
-    tel.add_stage("cluster", t_cluster.stop());
-  }
-  tel.n_clusters = report.clusters.size();
-  ROS_LOG_DEBUG(kLog, "point cloud clustered",
-                ros::obs::kv("points", tel.n_points),
-                ros::obs::kv("dense_clusters", tel.n_clusters));
-  if (probe::capturing()) {
-    probe::funnel("clustered", !report.clusters.empty(),
-                  std::to_string(report.clusters.size()) +
-                      " dense clusters");
-    probe::stage_artifact("clusters", clusters_json(report.clusters));
-  }
-
-  const Vec2 road = drive.velocity() *
-                    (1.0 / std::max(drive.velocity().norm(), 1e-9));
-  const bool aperture_any = classify_and_decode_clusters(
-      config_, profiles_normal, profiles_switched, estimated, road,
-      decode_max_abs_u(config_), report);
-  tel.n_candidates = report.candidates.size();
-  tel.n_tags = report.tags.size();
-  tel.total_ms = run_timer.stop();
-  record_funnel(tel);
-  record_read_funnel(!report.cloud.points.empty(),
-                     !report.clusters.empty(), aperture_any,
-                     !report.tags.empty());
-  if (probe::capturing()) {
-    bool any_tag = false;
-    for (const auto& c : report.candidates) any_tag |= c.is_tag;
-    probe::stage_artifact("candidates",
-                          candidates_json(report.candidates));
-    probe::funnel("candidate", any_tag,
-                  std::to_string(report.candidates.size()) +
-                      " classified, " +
-                      (any_tag ? "tag candidate present"
-                               : "no cluster classified as tag"));
-    probe::funnel("aperture", aperture_any,
-                  aperture_any ? "at least one candidate series reached "
-                                 "the coding band"
-                               : "no candidate series wide enough");
-    probe::funnel("decoded", !report.tags.empty(),
-                  std::to_string(report.tags.size()) + " tags decoded");
-    if (!report.tags.empty()) {
-      probe::decoded_bits(report.tags.front().decode.bits);
-    } else {
-      probe::decoded_bits({});
-    }
-    probe::end_read(report.tags.empty() ? "no_read" : "");
-  }
-
-  ROS_LOG_INFO(kLog, "interrogation finished",
-               ros::obs::kv("frames", tel.n_frames),
-               ros::obs::kv("points", tel.n_points),
-               ros::obs::kv("clusters", tel.n_clusters),
-               ros::obs::kv("candidates", tel.n_candidates),
-               ros::obs::kv("tags", tel.n_tags),
-               ros::obs::kv("total_ms", tel.total_ms));
-  return report;
+  StreamingInterrogator engine(config_, scene, drive);
+  engine.run_frames();
+  return engine.finalize_report();
 }
 
 DecodeDriveResult decode_drive(const ros::scene::Scene& scene,
                                const ros::scene::StraightDrive& drive,
-                               const Vec2& tag_position,
+                               const ros::scene::Vec2& tag_position,
                                const InterrogatorConfig& config) {
-  validate(config);
-  obs_session_begin();
-  namespace probe = ros::obs::probe;
-  // One relaxed load when disarmed; everything probe-related below
-  // hides behind this (and is re-checked via probe::capturing()).
-  const bool probing =
-      probe::armed() && probe::begin_read("decode_drive",
-                                          config.noise_seed,
-                                          config_digest(config));
-  if (probing) {
-    annotate_probe_runtime();
-    probe::annotate("decoder_backend",
-                    ros::tag::to_string(ros::tag::resolve_decoder_backend(
-                        config.decoder.backend)));
-    probe::annotate("frame_stride",
-                    static_cast<double>(config.frame_stride));
-    probe::annotate("decode_fov_rad", config.decode_fov_rad);
-    probe::annotate("extra_noise_dbm", config.extra_noise_dbm);
-    probe::annotate("tag_x", tag_position.x);
-    probe::annotate("tag_y", tag_position.y);
-  }
-  auto& reg = ros::obs::MetricsRegistry::global();
-  ros::obs::ScopedTimer run_timer(
-      "decode_drive.run", "pipeline",
-      &reg.histogram("decode_drive.run.ms"));
-  DecodeDriveResult out;
-  PipelineTelemetry& tel = out.telemetry;
-
-  ros::obs::ScopedTimer track_timer("decode_drive.track", "pipeline");
-  const auto truth = drive.frames(config.chirp.frame_rate_hz /
-                                  static_cast<double>(config.frame_stride));
-  const ros::scene::TrackingModel tracker(config.tracking);
-  const auto estimated = tracker.estimate(truth);
-  tel.add_stage("track", track_timer.stop());
-  tel.n_frames = truth.size();
-
-  const FrameStage stage(config, scene, "decode_drive");
-
-  std::vector<RangeProfile> profiles(truth.size());
-  {
-    ros::obs::ScopedTimer frames_timer("decode_drive.frames", "pipeline");
-    ros::obs::SlidingHistogram& frame_whist =
-        reg.windowed_histogram("decode_drive.frame.ms");
-    auto& flight = ros::obs::FlightRecorder::global();
-    const std::uint32_t frame_id = flight.intern("decode_drive.frame");
-    const std::uint32_t rng_id = flight.intern("decode_drive.rng_stream");
-    const double deadline_ms = frame_deadline_ms();
-    // Same per-frame RNG streams as Interrogator::run: frame i's noise
-    // depends only on (noise_seed, i), never on the thread count.
-    const auto allocs_before = ros::obs::alloc_counters();
-    ros::exec::parallel_for(0, truth.size(), [&](std::size_t i) {
-      const double frame_t0 = frames_timer.elapsed_ms();
-      const bool sampled = flight.enabled() && flight.should_sample();
-      if (sampled) {
-        flight.record(ros::obs::FlightKind::frame_begin, frame_id, i);
-        flight.record(ros::obs::FlightKind::rng_seed, rng_id,
-                      stage.stream_seed(i));
-      }
-      const ros::obs::Watchdog::Guard wd("decode_drive.frame",
-                                         deadline_ms, i);
-      stage.run_decode(truth[i], i, profiles[i]);
-      frame_whist.observe(frames_timer.elapsed_ms() - frame_t0);
-      if (sampled) {
-        flight.record(ros::obs::FlightKind::frame_end, frame_id, i);
-      }
-    });
-    record_frame_loop_allocs("decode_drive.frame_loop.allocs_per_frame",
-                             allocs_before, truth.size());
-    record_runtime_introspection(truth.size());
-    stage.book_frames(tel, frames_timer.stop(), /*include_detect=*/false);
-  }
-  if (probe::capturing()) {
-    probe::funnel("synthesized", !truth.empty(),
-                  std::to_string(truth.size()) + " frames");
-    probe::stage_artifact(
-        "range_fft", range_profiles_json(profiles, config.noise_seed));
-  }
-
-  const Vec2 road = drive.velocity() *
-                    (1.0 / std::max(drive.velocity().norm(), 1e-9));
-  {
-    ros::obs::ScopedTimer t_sample(
-        "decode_drive.sample_rss", "pipeline",
-        &reg.histogram("decode_drive.sample_rss.ms"));
-    out.samples = sample_rss(profiles, estimated, tag_position, road,
-                             config.array, stage.fc());
-    tel.add_stage("sample_rss", t_sample.stop());
-  }
-  tel.n_points = out.samples.size();
-  if (probe::capturing()) {
-    probe::funnel("detected", !out.samples.empty(),
-                  std::to_string(out.samples.size()) +
-                      " spotlight RSS samples");
-    probe::stage_artifact("samples", samples_json(out.samples));
-  }
-
-  const double max_abs_u = decode_max_abs_u(config);
-  bool aperture_ok = false;
-  ros::dsp::SpectrumTap spectrum_tap;
-  {
-    ros::obs::ScopedTimer t_decode(
-        "decode_drive.decode", "pipeline",
-        &reg.histogram("decode_drive.decode.ms"));
-    const auto series = to_decoder_series(out.samples, max_abs_u);
-    // When capturing, route the decoder's spectrum computation through
-    // a forensic tap (pure observation: the decode itself is
-    // bit-identical with or without it).
-    ros::tag::DecoderConfig decoder_config = config.decoder;
-    if (probe::capturing()) {
-      decoder_config.spectrum.tap = &spectrum_tap;
-    }
-    const ros::tag::TagDecoder decoder(decoder_config);
-    aperture_ok = decoder.can_decode(series.u);
-    if (aperture_ok) {
-      out.decode = decoder.decode(series.u, series.rss_linear);
-    } else {
-      // Short or narrow pass (e.g. a tiny decode FoV leaves < 8 usable
-      // samples): report an explicit no-read instead of violating the
-      // spectrum preconditions. bits/slot vectors stay empty.
-      ROS_LOG_WARN(kLog,
-                   "decode drive: series too short or narrow for the "
-                   "coding band; reporting no-read",
-                   ros::obs::kv("samples", series.u.size()));
-      reg.counter("pipeline.decode_no_read").inc();
-    }
-    if (probe::capturing()) {
-      probe::funnel("aperture",
-                    aperture_ok,
-                    aperture_ok
-                        ? "u span reaches the coding band"
-                        : "series too short or narrow for the coding "
-                          "band (" +
-                              std::to_string(series.u.size()) +
-                              " usable samples)");
-    }
-    tel.add_stage("decode", t_decode.stop());
-  }
-
-  out.mean_rss_dbm = mean_rss_dbm(out.samples);
-
-  tel.n_tags = 1;  // decode-only mode reads exactly the targeted tag
-  tel.n_clusters = 1;
-  tel.n_candidates = 1;
-  tel.tags.push_back(decode_telemetry(out.decode, out.samples));
-  tel.total_ms = run_timer.stop();
-  reg.counter("pipeline.decode_drives").inc();
-  const bool no_read = out.decode.bits.empty();
-  record_read_funnel(!out.samples.empty(), !out.samples.empty(),
-                     aperture_ok, !no_read);
-  if (probe::capturing()) {
-    probe::funnel("decoded", !no_read,
-                  no_read ? "no-read: decoder produced no bits"
-                          : std::to_string(out.decode.bits.size()) +
-                                " bits decoded");
-    probe::decoded_bits(out.decode.bits);
-    probe::annotate("mean_rss_dbm", out.mean_rss_dbm);
-    if (!no_read) {
-      // Codebook-backend reads carry no FFT spectrum; capture only the
-      // artifacts the chosen decode engine actually produced.
-      if (!out.decode.spectrum.spacing_lambda.empty()) {
-        probe::stage_artifact("coding_spectrum",
-                              spectrum_json(out.decode.spectrum));
-        probe::stage_artifact("spectrum_intermediates",
-                              spectrum_tap_json(spectrum_tap));
-      }
-      probe::stage_artifact("bit_margins",
-                            bit_margins_json(out.decode, config.decoder));
-      if (!out.decode.codeword_scores.empty()) {
-        probe::stage_artifact("codeword_scores",
-                              codeword_scores_json(out.decode));
-      }
-    }
-    probe::end_read(no_read ? "no_read" : "");
-  }
-  ROS_LOG_DEBUG(kLog, "decode drive finished",
-                ros::obs::kv("frames", tel.n_frames),
-                ros::obs::kv("samples", out.samples.size()),
-                ros::obs::kv("mean_rss_dbm", out.mean_rss_dbm),
-                ros::obs::kv("total_ms", tel.total_ms));
-  return out;
+  StreamingInterrogator engine(config, scene, drive, tag_position);
+  engine.run_frames();
+  return engine.finalize_decode();
 }
 
 }  // namespace ros::pipeline

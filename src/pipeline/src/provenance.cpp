@@ -309,66 +309,82 @@ std::string candidates_json(std::span<const TagCandidate> candidates) {
   return w.take();
 }
 
-std::string range_profiles_json(
-    std::span<const ros::radar::RangeProfile> profiles,
-    std::uint64_t noise_seed, std::size_t max_snapshots,
-    std::size_t max_bins, std::size_t max_frames) {
+void RangeFftSummary::reset(std::size_t n_frames) {
+  pass_frames = n_frames;
+  peak_power.clear();
+  peak_power.reserve(n_frames);
+  snapshot_frames.clear();
+  snapshots.clear();
+}
+
+void RangeFftSummary::add(std::size_t i,
+                          const ros::radar::RangeProfile& profile) {
+  double peak = 0.0;
+  for (std::size_t b = 0; b < profile.n_bins(); ++b) {
+    double acc = 0.0;
+    for (const auto& rx : profile.bins) acc += std::norm(rx[b]);
+    peak = std::max(peak, acc);
+  }
+  peak_power.push_back(peak);
+  const std::size_t n = pass_frames;
+  if (i == 0 || (n > 2 && i == n / 2) || (n > 1 && i == n - 1)) {
+    snapshot_frames.push_back(i);
+    snapshots.push_back(profile);
+  }
+}
+
+std::string range_fft_json(const RangeFftSummary& summary,
+                           std::uint64_t noise_seed, std::size_t max_bins,
+                           std::size_t max_frames) {
   JsonWriter w;
   w.begin_object();
-  w.key("n_frames").value(static_cast<std::uint64_t>(profiles.size()));
+  w.key("n_frames").value(
+      static_cast<std::uint64_t>(summary.peak_power.size()));
 
-  // Per-frame peak power (non-coherent across Rx): the funnel-level
-  // view of where along the drive the target was visible.
+  // Per-frame peak power: the funnel-level view of where along the
+  // drive the target was visible.
   const std::size_t frame_stride =
-      stride_for(profiles.size(), max_frames);
+      stride_for(summary.peak_power.size(), max_frames);
   w.key("frame_stride").value(static_cast<std::uint64_t>(frame_stride));
-  w.key("peak_power").begin_array();
-  for (std::size_t i = 0; i < profiles.size(); i += frame_stride) {
-    const auto& p = profiles[i];
-    double peak = 0.0;
-    for (std::size_t b = 0; b < p.n_bins(); ++b) {
-      double acc = 0.0;
-      for (const auto& rx : p.bins) acc += std::norm(rx[b]);
-      peak = std::max(peak, acc);
-    }
-    w.value(peak);
-  }
-  w.end_array();
+  w.key("peak_power");
+  write_decimated(w, summary.peak_power, frame_stride);
 
   // Full magnitude snapshots of representative frames, with the RNG
   // stream seed each one drew its noise from.
   w.key("snapshots").begin_array();
-  if (!profiles.empty()) {
-    std::vector<std::size_t> picks;
-    picks.push_back(0);
-    if (profiles.size() > 2 && max_snapshots >= 3) {
-      picks.push_back(profiles.size() / 2);
+  for (std::size_t k = 0; k < summary.snapshots.size(); ++k) {
+    const auto& p = summary.snapshots[k];
+    const std::size_t i = summary.snapshot_frames[k];
+    const std::size_t bin_stride = stride_for(p.n_bins(), max_bins);
+    w.begin_object();
+    w.key("frame").value(static_cast<std::uint64_t>(i));
+    w.key("rng_stream_seed")
+        .value(ros::common::derive_stream_seed(noise_seed, i));
+    w.key("bin_spacing_m").value(p.bin_spacing_m);
+    w.key("bin_stride").value(static_cast<std::uint64_t>(bin_stride));
+    w.key("power").begin_array();
+    for (std::size_t b = 0; b < p.n_bins(); b += bin_stride) {
+      double acc = 0.0;
+      for (const auto& rx : p.bins) acc += std::norm(rx[b]);
+      w.value(acc);
     }
-    if (profiles.size() > 1 && max_snapshots >= 2) {
-      picks.push_back(profiles.size() - 1);
-    }
-    for (const std::size_t i : picks) {
-      const auto& p = profiles[i];
-      const std::size_t bin_stride = stride_for(p.n_bins(), max_bins);
-      w.begin_object();
-      w.key("frame").value(static_cast<std::uint64_t>(i));
-      w.key("rng_stream_seed")
-          .value(ros::common::derive_stream_seed(noise_seed, i));
-      w.key("bin_spacing_m").value(p.bin_spacing_m);
-      w.key("bin_stride").value(static_cast<std::uint64_t>(bin_stride));
-      w.key("power").begin_array();
-      for (std::size_t b = 0; b < p.n_bins(); b += bin_stride) {
-        double acc = 0.0;
-        for (const auto& rx : p.bins) acc += std::norm(rx[b]);
-        w.value(acc);
-      }
-      w.end_array();
-      w.end_object();
-    }
+    w.end_array();
+    w.end_object();
   }
   w.end_array();
   w.end_object();
   return w.take();
+}
+
+std::string range_profiles_json(
+    std::span<const ros::radar::RangeProfile> profiles,
+    std::uint64_t noise_seed) {
+  RangeFftSummary summary;
+  summary.reset(profiles.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    summary.add(i, profiles[i]);
+  }
+  return range_fft_json(summary, noise_seed);
 }
 
 void annotate_probe_runtime() {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "ros/common/random.hpp"
@@ -84,8 +83,9 @@ void FrameStage::run_full(const ros::scene::RadarPose& pose,
   FrameWorkspace& ws = FrameWorkspace::thread_local_workspace();
 
   // RNG draw order (returns normal, returns switched, noise normal,
-  // noise switched) is the bit-identity contract between the batch and
-  // streaming paths — both call this exact function.
+  // noise switched) is the bit-identity contract with the testkit
+  // reference and the perfbench replay, which call the stage functions
+  // one by one.
   ros::obs::ScopedTimer t_synth(synth_label_, "pipeline");
   scene_->frame_returns_into(pose, ros::radar::TxMode::normal,
                              config_->array, config_->budget, fc_, rng,
@@ -133,16 +133,14 @@ void FrameStage::run_decode(const ros::scene::RadarPose& pose,
 
 void FrameStage::book_frames(PipelineTelemetry& tel, double wall_ms,
                              bool include_detect) const {
-  if (include_detect) {
-    book_frame_stages(tel, wall_ms,
-                      {{"synthesize", synth_ms_.value()},
-                       {"range_fft", fft_ms_.value()},
-                       {"detect_points", detect_ms_.value()}});
-  } else {
-    book_frame_stages(tel, wall_ms,
-                      {{"synthesize", synth_ms_.value()},
-                       {"range_fft", fft_ms_.value()}});
-  }
+  const double synth = synth_ms_.value();
+  const double fft = fft_ms_.value();
+  const double detect = include_detect ? detect_ms_.value() : 0.0;
+  const double sum = synth + fft + detect;
+  const double scale = sum > 0.0 ? wall_ms / sum : 0.0;
+  tel.add_stage("synthesize", synth * scale);
+  tel.add_stage("range_fft", fft * scale);
+  if (include_detect) tel.add_stage("detect_points", detect * scale);
 }
 
 bool classify_and_decode_clusters(
@@ -267,16 +265,6 @@ double mean_rss_dbm(std::span<const RssSample> samples) {
   return watt_to_dbm(sum_w / std::max<std::size_t>(1, samples.size()));
 }
 
-void book_frame_stages(PipelineTelemetry& tel, double wall_ms,
-                       std::initializer_list<
-                           std::pair<const char*, double>> stages) {
-  double sum = 0.0;
-  for (const auto& [name, ms] : stages) sum += ms;
-  for (const auto& [name, ms] : stages) {
-    tel.add_stage(name, sum > 0.0 ? wall_ms * (ms / sum) : 0.0);
-  }
-}
-
 void record_frame_loop_allocs(const char* gauge,
                               const ros::obs::AllocCounters& before,
                               std::size_t n_frames) {
@@ -285,38 +273,6 @@ void record_frame_loop_allocs(const char* gauge,
   ros::obs::MetricsRegistry::global().gauge(gauge).set(
       static_cast<double>(after.allocs - before.allocs) /
       static_cast<double>(n_frames));
-}
-
-void record_funnel(const PipelineTelemetry& t) {
-  auto& reg = ros::obs::MetricsRegistry::global();
-  reg.counter("pipeline.runs").inc();
-  reg.counter("pipeline.frames").inc(t.n_frames);
-  reg.counter("pipeline.points").inc(t.n_points);
-  reg.counter("pipeline.clusters").inc(t.n_clusters);
-  reg.counter("pipeline.candidates").inc(t.n_candidates);
-  reg.counter("pipeline.tags_decoded").inc(t.n_tags);
-}
-
-void record_read_funnel(bool detected, bool clustered, bool aperture,
-                        bool decoded) {
-  auto& reg = ros::obs::MetricsRegistry::global();
-  reg.counter("pipeline.funnel.attempted").inc();
-  if (detected) reg.counter("pipeline.funnel.detected").inc();
-  if (clustered) reg.counter("pipeline.funnel.clustered").inc();
-  if (aperture) reg.counter("pipeline.funnel.aperture_sufficient").inc();
-  if (decoded) reg.counter("pipeline.funnel.decoded").inc();
-  reg.rate("pipeline.funnel.read_rate").tick(1.0);
-}
-
-double frame_deadline_ms() {
-  static const double v = [] {
-    const char* e = std::getenv("ROS_OBS_FRAME_DEADLINE_MS");
-    if (e == nullptr || *e == '\0') return 5000.0;
-    char* end = nullptr;
-    const double ms = std::strtod(e, &end);
-    return end == e ? 5000.0 : ms;
-  }();
-  return v;
 }
 
 void obs_session_begin() {

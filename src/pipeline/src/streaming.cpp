@@ -1,22 +1,23 @@
 #include "ros/pipeline/streaming.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <exception>
+#include <cstdlib>
 #include <iterator>
-#include <thread>
 #include <utility>
 
 #include "ros/common/expect.hpp"
 #include "ros/common/units.hpp"
-#include "ros/exec/spsc_queue.hpp"
 #include "ros/exec/thread_pool.hpp"
 #include "ros/obs/alloc.hpp"
+#include "ros/obs/crash.hpp"
 #include "ros/obs/flight_recorder.hpp"
 #include "ros/obs/log.hpp"
 #include "ros/obs/metrics.hpp"
 #include "ros/obs/probe.hpp"
 #include "ros/obs/timer.hpp"
+#include "ros/obs/trace.hpp"
 #include "ros/pipeline/provenance.hpp"
 #include "ros/tag/codebook.hpp"
 
@@ -27,13 +28,62 @@ using ros::radar::RangeProfile;
 using ros::scene::RadarPose;
 using ros::scene::Vec2;
 
+/// Every name a read books under, per mode: the probe bundle kind (also
+/// the FrameStage span prefix), trace spans, and registry metrics.
+struct ReadNames {
+  const char* kind;
+  const char* run;
+  const char* run_ms;
+  const char* frames;
+  const char* frame;  ///< watchdog + flight-recorder frame id
+  const char* frame_ms;
+  const char* rng_stream;
+  const char* frame_allocs;
+  const char* track;
+  const char* stage;  ///< per-frame consume stage after tracking
+  const char* stage_ms;
+  const char* decode;
+  const char* decode_ms;
+};
+
 namespace {
 
 constexpr const char* kLog = "pipeline";
 
-/// to_decoder_series' default RSS floor, mirrored so the incremental
-/// series filter is bit-identical to the batch filter.
-constexpr double kMinRssDbm = -1e9;
+/// Frames each executor synthesizes per parallel block of run_frames():
+/// enough to amortize the fork-join, few enough that decode mode keeps
+/// only a handful of profiles in flight.
+constexpr std::size_t kFramesPerThread = 16;
+
+constexpr ReadNames kDecodeNames{
+    "decode_drive",
+    "decode_drive.run",
+    "decode_drive.run.ms",
+    "decode_drive.frames",
+    "decode_drive.frame",
+    "decode_drive.frame.ms",
+    "decode_drive.rng_stream",
+    "decode_drive.frame_loop.allocs_per_frame",
+    "decode_drive.track",
+    "decode_drive.sample_rss",
+    "decode_drive.sample_rss.ms",
+    "decode_drive.decode",
+    "decode_drive.decode.ms"};
+
+constexpr ReadNames kFullNames{
+    "interrogate",
+    "interrogate.run",
+    "interrogate.run.ms",
+    "interrogate.frames",
+    "interrogate.frame",
+    "interrogate.frame.ms",
+    "interrogate.rng_stream",
+    "interrogate.frame_loop.allocs_per_frame",
+    "interrogate.track",
+    "interrogate.cluster",
+    "interrogate.cluster.ms",
+    "interrogate.decode",
+    "interrogate.decode.ms"};
 
 double monotonic_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -41,17 +91,73 @@ double monotonic_ms() {
       .count();
 }
 
+/// Close one per-frame stage interval that began at `t0_ms`: add it to
+/// `acc_ms` and, while a trace session is live, record it as a `span`
+/// (the exporter takes a string_view, so the frame path never
+/// allocates). Returns the interval's end, the next interval's start.
+double lap(const char* span, double t0_ms, double& acc_ms) {
+  const double t1 = monotonic_ms();
+  acc_ms += t1 - t0_ms;
+  auto& trace = ros::obs::TraceExporter::global();
+  if (trace.enabled()) {
+    const auto dur_us = static_cast<std::int64_t>((t1 - t0_ms) * 1000.0);
+    trace.record_complete(span, "pipeline", trace.now_us() - dur_us, dur_us);
+  }
+  return t1;
+}
+
 Vec2 road_of(const ros::scene::StraightDrive& drive) {
-  // Same expression as the batch entry points.
   return drive.velocity() * (1.0 / std::max(drive.velocity().norm(), 1e-9));
 }
 
-std::size_t frames_in(const ros::scene::StraightDrive& drive,
-                      double rate_hz) {
-  // Mirrors StraightDrive::frames(): n = floor(T * rate) + 1.
-  return static_cast<std::size_t>(
-             std::floor(drive.duration_s() * rate_hz)) +
-         1;
+/// Trace span + histogram for the whole read, from `begin_us` (trace
+/// clock) to now. Returns the duration in ms.
+double record_run(const char* span, const char* hist, std::int64_t begin_us) {
+  auto& trace = ros::obs::TraceExporter::global();
+  const std::int64_t dur_us = trace.now_us() - begin_us;
+  trace.record_complete(span, "pipeline", begin_us, dur_us);
+  ros::obs::FlightRecorder::global().record_span(span, begin_us, dur_us);
+  const double ms = static_cast<double>(dur_us) / 1000.0;
+  ros::obs::MetricsRegistry::global().histogram(hist).observe(ms);
+  return ms;
+}
+
+/// Per-run funnel counters (runs / frames / points / clusters /
+/// candidates / tags) for the exporters.
+void record_funnel(const PipelineTelemetry& t) {
+  auto& reg = ros::obs::MetricsRegistry::global();
+  reg.counter("pipeline.runs").inc();
+  reg.counter("pipeline.frames").inc(t.n_frames);
+  reg.counter("pipeline.points").inc(t.n_points);
+  reg.counter("pipeline.clusters").inc(t.n_clusters);
+  reg.counter("pipeline.candidates").inc(t.n_candidates);
+  reg.counter("pipeline.tags_decoded").inc(t.n_tags);
+}
+
+/// Per-read funnel counters for the JSONL/Prometheus exporters: one
+/// attempted read, and one increment per funnel stage it survived.
+void record_read_funnel(bool detected, bool clustered, bool aperture,
+                        bool decoded) {
+  auto& reg = ros::obs::MetricsRegistry::global();
+  reg.counter("pipeline.funnel.attempted").inc();
+  if (detected) reg.counter("pipeline.funnel.detected").inc();
+  if (clustered) reg.counter("pipeline.funnel.clustered").inc();
+  if (aperture) reg.counter("pipeline.funnel.aperture_sufficient").inc();
+  if (decoded) reg.counter("pipeline.funnel.decoded").inc();
+  reg.rate("pipeline.funnel.read_rate").tick(1.0);
+}
+
+/// Per-frame stall budget for the watchdog: ROS_OBS_FRAME_DEADLINE_MS
+/// (<= 0 disables the guard), default 5000 ms.
+double frame_deadline_ms() {
+  static const double v = [] {
+    const char* e = std::getenv("ROS_OBS_FRAME_DEADLINE_MS");
+    if (e == nullptr || *e == '\0') return 5000.0;
+    char* end = nullptr;
+    const double ms = std::strtod(e, &end);
+    return end == e ? 5000.0 : ms;
+  }();
+  return v;
 }
 
 }  // namespace
@@ -65,49 +171,29 @@ StreamingInterrogator::StreamingInterrogator(
       drive_(&drive),
       opts_(opts),
       decode_mode_(true),
+      names_(&kDecodeNames),
       tag_position_(tag_position),
-      stage_(config_, scene, "stream"),
-      rate_hz_(config_.chirp.frame_rate_hz /
-               static_cast<double>(config_.frame_stride)),
+      stage_(config_, scene, names_->kind),
       tracker_(config_.tracking),
       dbscan_(config_.dbscan) {
   validate(config_);
-  obs_session_begin();
-  n_frames_ = frames_in(drive, rate_hz_);
-  road_ = road_of(drive);
-  max_abs_u_ = decode_max_abs_u(config_);
-  // Early emit is gated on provability: with FoV truncation active and
-  // a jitter-free tracking estimate, u is exactly monotone along the
-  // straight drive, so a sample past the FoV edge makes the series
-  // final. With jitter the estimate can wander back into the FoV, so
-  // the gate stays closed and the engine behaves purely batch-like.
-  emit_eligible_ = opts_.early_emit && max_abs_u_ < 1.0 &&
-                   config_.tracking.jitter_std_m == 0.0;
-  if (opts_.retain_samples) samples_.reserve(n_frames_);
-  series_.reserve(n_frames_);
-  begin_decode_probe();
+  begin_read();
 }
 
-void StreamingInterrogator::begin_decode_probe() {
-  namespace probe = ros::obs::probe;
-  probing_ = probe::armed() &&
-             probe::begin_read("stream_decode", config_.noise_seed,
-                               config_digest(config_));
-  if (probing_) {
-    annotate_probe_runtime();
-    probe::annotate("decoder_backend",
-                    ros::tag::to_string(ros::tag::resolve_decoder_backend(
-                        config_.decoder.backend)));
-    probe::annotate("frame_stride",
-                    static_cast<double>(config_.frame_stride));
-    probe::annotate("decode_fov_rad", config_.decode_fov_rad);
-    probe::annotate("extra_noise_dbm", config_.extra_noise_dbm);
-    probe::annotate("window_frames",
-                    static_cast<double>(opts_.window_frames));
-    probe::annotate("early_emit", opts_.early_emit ? 1.0 : 0.0);
-    probe::annotate("tag_x", tag_position_.x);
-    probe::annotate("tag_y", tag_position_.y);
-  }
+StreamingInterrogator::StreamingInterrogator(
+    const InterrogatorConfig& config, const ros::scene::Scene& scene,
+    const ros::scene::StraightDrive& drive, StreamingOptions opts)
+    : config_(config),
+      scene_(&scene),
+      drive_(&drive),
+      opts_(opts),
+      decode_mode_(false),
+      names_(&kFullNames),
+      stage_(config_, scene, names_->kind),
+      tracker_(config_.tracking),
+      dbscan_(config_.dbscan) {
+  validate(config_);
+  begin_read();
 }
 
 void StreamingInterrogator::rebind(const InterrogatorConfig& config,
@@ -130,22 +216,14 @@ void StreamingInterrogator::rebind(const InterrogatorConfig& config,
   opts_ = opts;
   tag_position_ = tag_position;
   stage_.rebind(config_, scene);
-  rate_hz_ = config_.chirp.frame_rate_hz /
-             static_cast<double>(config_.frame_stride);
-  n_frames_ = frames_in(drive, rate_hz_);
-  road_ = road_of(drive);
-  max_abs_u_ = decode_max_abs_u(config_);
-  emit_eligible_ = opts_.early_emit && max_abs_u_ < 1.0 &&
-                   config_.tracking.jitter_std_m == 0.0;
   tracker_ = ros::scene::TrackingEstimator(config_.tracking);
   consumed_ = 0;
   finalized_ = false;
   samples_.clear();
-  if (opts_.retain_samples) samples_.reserve(n_frames_);
   sum_rss_w_ = 0.0;
   n_samples_ = 0;
-  series_.clear();
-  series_.reserve(n_frames_);
+  series_.u.clear();
+  series_.rss_linear.clear();
   mono_inc_ok_ = true;
   mono_dec_ok_ = true;
   saw_inc_ = false;
@@ -154,44 +232,53 @@ void StreamingInterrogator::rebind(const InterrogatorConfig& config,
   have_prev_u_ = false;
   emitted_ = false;
   emit_frame_ = 0;
-  synth_wall_ms_.reset();
-  consume_ms_ = 0.0;
-  begin_decode_probe();
+  synth_ms_.reset();
+  track_ms_ = 0.0;
+  stage_ms_ = 0.0;
+  decode_ms_ = 0.0;
+  begin_read();
 }
 
-StreamingInterrogator::StreamingInterrogator(
-    const InterrogatorConfig& config, const ros::scene::Scene& scene,
-    const ros::scene::StraightDrive& drive, StreamingOptions opts)
-    : config_(config),
-      scene_(&scene),
-      drive_(&drive),
-      opts_(opts),
-      decode_mode_(false),
-      stage_(config_, scene, "stream"),
-      rate_hz_(config_.chirp.frame_rate_hz /
-               static_cast<double>(config_.frame_stride)),
-      tracker_(config_.tracking),
-      dbscan_(config_.dbscan) {
-  validate(config_);
+void StreamingInterrogator::begin_read() {
   obs_session_begin();
-  n_frames_ = frames_in(drive, rate_hz_);
-  road_ = road_of(drive);
+  begin_us_ = ros::obs::TraceExporter::global().now_us();
+  rate_hz_ = config_.chirp.frame_rate_hz /
+             static_cast<double>(config_.frame_stride);
+  n_frames_ = drive_->frame_count(rate_hz_);
+  road_ = road_of(*drive_);
   max_abs_u_ = decode_max_abs_u(config_);
+  if (decode_mode_) {
+    // Early emit is gated on provability: with FoV truncation active
+    // and a jitter-free tracking estimate, u is exactly monotone along
+    // the straight drive, so a sample past the FoV edge makes the
+    // series final. With jitter the estimate can wander back into the
+    // FoV, so the gate stays closed.
+    emit_eligible_ = opts_.early_emit && max_abs_u_ < 1.0 &&
+                     config_.tracking.jitter_std_m == 0.0;
+    if (opts_.retain_samples) samples_.reserve(n_frames_);
+    series_.u.reserve(n_frames_);
+    series_.rss_linear.reserve(n_frames_);
+  }
+
   namespace probe = ros::obs::probe;
   probing_ = probe::armed() &&
-             probe::begin_read("stream_interrogate", config_.noise_seed,
+             probe::begin_read(names_->kind, config_.noise_seed,
                                config_digest(config_));
-  if (probing_) {
-    annotate_probe_runtime();
-    probe::annotate("decoder_backend",
-                    ros::tag::to_string(ros::tag::resolve_decoder_backend(
-                        config_.decoder.backend)));
-    probe::annotate("frame_stride",
-                    static_cast<double>(config_.frame_stride));
-    probe::annotate("decode_fov_rad", config_.decode_fov_rad);
-    probe::annotate("extra_noise_dbm", config_.extra_noise_dbm);
-    probe::annotate("window_frames",
-                    static_cast<double>(opts_.window_frames));
+  if (!probing_) return;
+  if (decode_mode_) probe_range_fft_.reset(n_frames_);
+  annotate_probe_runtime();
+  probe::annotate("decoder_backend",
+                  ros::tag::to_string(ros::tag::resolve_decoder_backend(
+                      config_.decoder.backend)));
+  probe::annotate("frame_stride", static_cast<double>(config_.frame_stride));
+  probe::annotate("decode_fov_rad", config_.decode_fov_rad);
+  probe::annotate("extra_noise_dbm", config_.extra_noise_dbm);
+  // rostriage replay re-applies both options.
+  probe::annotate("window_frames", static_cast<double>(opts_.window_frames));
+  probe::annotate("early_emit", opts_.early_emit ? 1.0 : 0.0);
+  if (decode_mode_) {
+    probe::annotate("tag_x", tag_position_.x);
+    probe::annotate("tag_y", tag_position_.y);
   }
 }
 
@@ -209,9 +296,15 @@ FramePacket StreamingInterrogator::synthesize(std::size_t i) const {
 
 void StreamingInterrogator::synthesize_into(std::size_t i,
                                             FramePacket& out) const {
+  const double t0 = monotonic_ms();
+  synthesize_frame(i, out);
+  synth_ms_.add(monotonic_ms() - t0);
+}
+
+void StreamingInterrogator::synthesize_frame(std::size_t i,
+                                             FramePacket& out) const {
   ROS_EXPECT(i < n_frames_, "frame index beyond the stream");
   out.index = i;
-  const double t0 = monotonic_ms();
   // The same ground-truth pose expression as StraightDrive::frames().
   const RadarPose pose =
       drive_->pose_at(static_cast<double>(i) / rate_hz_);
@@ -220,18 +313,18 @@ void StreamingInterrogator::synthesize_into(std::size_t i,
   } else {
     stage_.run_full(pose, i, out.full);
   }
-  synth_wall_ms_.add(monotonic_ms() - t0);
 }
 
 void StreamingInterrogator::consume(FramePacket&& packet) {
   ROS_EXPECT(!finalized_, "stream already finalized");
   ROS_EXPECT(packet.index == consumed_,
              "frames must be consumed in order");
-  const double t0 = monotonic_ms();
   const std::size_t i = packet.index;
+  double t = monotonic_ms();
   const RadarPose truth =
       drive_->pose_at(static_cast<double>(i) / rate_hz_);
   const RadarPose est = tracker_.next(truth);
+  t = lap(names_->track, t, track_ms_);
 
   if (decode_mode_) {
     RssSample s;
@@ -242,8 +335,10 @@ void StreamingInterrogator::consume(FramePacket&& packet) {
       ++n_samples_;
       // Mirror to_decoder_series' filter order exactly: FoV cut first,
       // then the RSS floor.
-      if (!(std::abs(s.u) > max_abs_u_) && !(s.rss_dbm < kMinRssDbm)) {
-        series_.push(s.u, s.rss_w);
+      if (!(std::abs(s.u) > max_abs_u_) &&
+          !(s.rss_dbm < kDecoderSeriesFloorDbm)) {
+        series_.u.push_back(s.u);
+        series_.rss_linear.push_back(s.rss_w);
       }
       if (have_prev_u_) {
         if (s.u < prev_u_) {
@@ -257,8 +352,10 @@ void StreamingInterrogator::consume(FramePacket&& packet) {
       }
       prev_u_ = s.u;
       have_prev_u_ = true;
-      maybe_early_emit(i);
     }
+    lap(names_->stage, t, stage_ms_);
+    if (probing_) probe_range_fft_.add(i, packet.profile);
+    maybe_early_emit(i);
   } else {
     win_estimated_.push_back(est);
     scratch_cloud_.points.clear();
@@ -274,9 +371,9 @@ void StreamingInterrogator::consume(FramePacket&& packet) {
     if (opts_.window_frames > 0 && i + 1 >= opts_.window_frames) {
       evict_before(i + 1 - opts_.window_frames);
     }
+    lap(names_->stage, t, stage_ms_);
   }
   ++consumed_;
-  consume_ms_ += monotonic_ms() - t0;
 }
 
 void StreamingInterrogator::evict_before(std::size_t min_live_frame) {
@@ -300,6 +397,59 @@ void StreamingInterrogator::push_frame(std::size_t i) {
   consume(synthesize(i));
 }
 
+void StreamingInterrogator::run_frames() {
+  auto& reg = ros::obs::MetricsRegistry::global();
+  ros::obs::ScopedTimer frames_timer(names_->frames, "pipeline");
+  ros::obs::Histogram& frame_hist = reg.histogram(names_->frame_ms);
+  ros::obs::SlidingHistogram& frame_whist =
+      reg.windowed_histogram(names_->frame_ms);
+  auto& flight = ros::obs::FlightRecorder::global();
+  const std::uint32_t frame_id = flight.intern(names_->frame);
+  const std::uint32_t rng_id = flight.intern(names_->rng_stream);
+  const double deadline_ms = frame_deadline_ms();
+
+  const std::size_t first = consumed_;
+  const std::size_t block = std::max<std::size_t>(
+      1, std::min(kFramesPerThread * ros::exec::ThreadPool::global().threads(),
+                  n_frames_ - first));
+  std::vector<FramePacket> packets(block);
+  const auto allocs_before = ros::obs::alloc_counters();
+  for (std::size_t base = first; base < n_frames_; base += block) {
+    const std::size_t count = std::min(block, n_frames_ - base);
+    const double block_t0 = frames_timer.elapsed_ms();
+    // Frame i draws noise from its own counter-derived RNG stream, so
+    // the block synthesizes in any order on any thread; consuming it in
+    // frame order keeps the result identical at every thread count.
+    ros::exec::parallel_for(0, count, [&](std::size_t k) {
+      const std::size_t i = base + k;
+      const double frame_t0 = frames_timer.elapsed_ms();
+      // One sampling decision covers the frame's begin/seed/end records
+      // so sampled frames land complete in the flight ring.
+      const bool sampled = flight.enabled() && flight.should_sample();
+      if (sampled) {
+        flight.record(ros::obs::FlightKind::frame_begin, frame_id, i);
+        flight.record(ros::obs::FlightKind::rng_seed, rng_id,
+                      stage_.stream_seed(i));
+      }
+      {
+        const ros::obs::Watchdog::Guard wd(names_->frame, deadline_ms, i);
+        synthesize_frame(i, packets[k]);
+      }
+      const double frame_ms = frames_timer.elapsed_ms() - frame_t0;
+      frame_hist.observe(frame_ms);
+      frame_whist.observe(frame_ms);
+      if (sampled) {
+        flight.record(ros::obs::FlightKind::frame_end, frame_id, i);
+      }
+    });
+    synth_ms_.add(frames_timer.elapsed_ms() - block_t0);
+    for (std::size_t k = 0; k < count; ++k) consume(std::move(packets[k]));
+  }
+  record_frame_loop_allocs(names_->frame_allocs, allocs_before,
+                           n_frames_ - first);
+  record_runtime_introspection(n_frames_ - first);
+}
+
 void StreamingInterrogator::maybe_early_emit(std::size_t frame_index) {
   if (!emit_eligible_ || emitted_ || !have_prev_u_) return;
   // The series is provably final once the latest sample has left the
@@ -313,15 +463,17 @@ void StreamingInterrogator::maybe_early_emit(std::size_t frame_index) {
   if (!past_edge) return;
   // The latest sample left the FoV on a monotone pass: every future
   // sample is filtered out of the series, which is therefore final.
+  const double t0 = monotonic_ms();
   const ros::tag::TagDecoder decoder(config_.decoder);
-  if (series_.empty() || !decoder.can_decode(series_.u())) {
+  if (series_.u.empty() || !decoder.can_decode(series_.u)) {
     // The aperture will never suffice (the series cannot grow again):
     // stop re-checking, but leave emitted_ unset so finalize reports
-    // the no-read through the batch-identical path.
+    // the no-read.
     emit_eligible_ = false;
     return;
   }
-  emitted_decode_ = decoder.decode(series_.u(), series_.rss_linear());
+  emitted_decode_ = decoder.decode(series_.u, series_.rss_linear);
+  lap(names_->decode, t0, decode_ms_);
   emitted_ = true;
   emit_frame_ = frame_index;
   auto& reg = ros::obs::MetricsRegistry::global();
@@ -375,46 +527,47 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
   finalized_ = true;
   namespace probe = ros::obs::probe;
   auto& reg = ros::obs::MetricsRegistry::global();
-  ros::obs::ScopedTimer run_timer(
-      "stream.finalize", "pipeline",
-      &reg.histogram("stream.finalize.ms"));
   DecodeDriveResult out;
   PipelineTelemetry& tel = out.telemetry;
   tel.n_frames = consumed_;
-  tel.add_stage("consume", consume_ms_);
-  stage_.book_frames(tel, synth_wall_ms_.value(),
-                     /*include_detect=*/false);
+  tel.add_stage("track", track_ms_);
+  stage_.book_frames(tel, synth_ms_.value(), /*include_detect=*/false);
+  tel.add_stage("sample_rss", stage_ms_);
+  reg.histogram(names_->stage_ms).observe(stage_ms_);
 
   out.samples = std::move(samples_);
   tel.n_points = n_samples_;
   if (probe::capturing()) {
     probe::funnel("synthesized", consumed_ > 0,
                   std::to_string(consumed_) + " frames");
+    probe::stage_artifact(
+        "range_fft", range_fft_json(probe_range_fft_, config_.noise_seed));
     probe::funnel("detected", n_samples_ > 0,
-                  std::to_string(n_samples_) +
-                      " spotlight RSS samples");
-    if (!out.samples.empty()) {
-      probe::stage_artifact("samples", samples_json(out.samples));
-    }
+                  std::to_string(n_samples_) + " spotlight RSS samples");
+    probe::stage_artifact("samples", samples_json(out.samples));
   }
 
   bool aperture_ok = false;
   ros::dsp::SpectrumTap spectrum_tap;
   {
-    // Same decode block as decode_drive, fed by the incrementally
-    // maintained series (bit-identical to to_decoder_series of the
-    // retained samples — asserted by the equivalence suite).
+    ros::obs::ScopedTimer t_decode(names_->decode, "pipeline");
+    // When capturing, route the decoder's spectrum computation through
+    // a forensic tap (pure observation: the decode itself is
+    // bit-identical with or without it).
     ros::tag::DecoderConfig decoder_config = config_.decoder;
     if (probe::capturing()) decoder_config.spectrum.tap = &spectrum_tap;
     const ros::tag::TagDecoder decoder(decoder_config);
-    aperture_ok = decoder.can_decode(series_.u());
+    aperture_ok = decoder.can_decode(series_.u);
     if (aperture_ok) {
-      out.decode = decoder.decode(series_.u(), series_.rss_linear());
+      out.decode = decoder.decode(series_.u, series_.rss_linear);
     } else {
+      // Short or narrow pass (e.g. a tiny decode FoV leaves < 8 usable
+      // samples): report an explicit no-read instead of violating the
+      // spectrum preconditions. bits/slot vectors stay empty.
       ROS_LOG_WARN(kLog,
-                   "streaming decode: series too short or narrow for "
-                   "the coding band; reporting no-read",
-                   ros::obs::kv("samples", series_.size()));
+                   "decode drive: series too short or narrow for the "
+                   "coding band; reporting no-read",
+                   ros::obs::kv("samples", series_.u.size()));
       reg.counter("pipeline.decode_no_read").inc();
     }
     if (probe::capturing()) {
@@ -423,10 +576,13 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
                         ? "u span reaches the coding band"
                         : "series too short or narrow for the coding "
                           "band (" +
-                              std::to_string(series_.size()) +
+                              std::to_string(series_.u.size()) +
                               " usable samples)");
     }
+    decode_ms_ += t_decode.stop();
   }
+  tel.add_stage("decode", decode_ms_);
+  reg.histogram(names_->decode_ms).observe(decode_ms_);
 
   // No-retraction law: an early-emitted readout must equal the final
   // decode bit for bit. Divergence is a contract violation — count it
@@ -453,8 +609,8 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
   tel.n_clusters = 1;
   tel.n_candidates = 1;
   tel.tags.push_back(decode_telemetry(out.decode, out.samples));
-  tel.total_ms = run_timer.stop();
-  reg.counter("pipeline.stream.decode_drives").inc();
+  tel.total_ms = record_run(names_->run, names_->run_ms, begin_us_);
+  reg.counter("pipeline.decode_drives").inc();
   const bool no_read = out.decode.bits.empty();
   record_read_funnel(n_samples_ > 0, n_samples_ > 0, aperture_ok,
                      !no_read);
@@ -466,6 +622,8 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
     probe::decoded_bits(out.decode.bits);
     probe::annotate("mean_rss_dbm", out.mean_rss_dbm);
     if (!no_read) {
+      // Codebook-backend reads carry no FFT spectrum; capture only the
+      // artifacts the chosen decode engine actually produced.
       if (!out.decode.spectrum.spacing_lambda.empty()) {
         probe::stage_artifact("coding_spectrum",
                               spectrum_json(out.decode.spectrum));
@@ -481,11 +639,12 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
     }
     probe::end_read(no_read ? "no_read" : "");
   }
-  ROS_LOG_DEBUG(kLog, "streaming decode finished",
+  ROS_LOG_DEBUG(kLog, "decode drive finished",
                 ros::obs::kv("frames", consumed_),
                 ros::obs::kv("samples", n_samples_),
                 ros::obs::kv("early_emitted", emitted_),
-                ros::obs::kv("mean_rss_dbm", out.mean_rss_dbm));
+                ros::obs::kv("mean_rss_dbm", out.mean_rss_dbm),
+                ros::obs::kv("total_ms", tel.total_ms));
   return out;
 }
 
@@ -495,48 +654,17 @@ InterrogationReport StreamingInterrogator::finalize_report() {
   finalized_ = true;
   namespace probe = ros::obs::probe;
   auto& reg = ros::obs::MetricsRegistry::global();
-  ros::obs::ScopedTimer run_timer(
-      "stream.finalize", "pipeline",
-      &reg.histogram("stream.finalize.ms"));
   InterrogationReport report;
   PipelineTelemetry& tel = report.telemetry;
   report.n_frames = consumed_;
   tel.n_frames = consumed_;
-  tel.add_stage("consume", consume_ms_);
-  stage_.book_frames(tel, synth_wall_ms_.value(),
-                     /*include_detect=*/true);
+  tel.add_stage("track", track_ms_);
+  stage_.book_frames(tel, synth_ms_.value(), /*include_detect=*/true);
 
   // The surviving window, in insertion order: for an unbounded window
-  // this is every point the drive produced, making the report
-  // bit-identical to the batch pipeline's.
+  // this is every point the drive produced.
   report.cloud.points.assign(win_points_.begin(), win_points_.end());
   tel.n_points = report.cloud.points.size();
-  if (probe::capturing()) {
-    probe::funnel("synthesized", consumed_ > 0,
-                  std::to_string(consumed_) + " frames");
-    probe::funnel("detected", !report.cloud.points.empty(),
-                  std::to_string(report.cloud.points.size()) +
-                      " point-cloud points");
-    probe::stage_artifact("pointcloud", pointcloud_json(report.cloud));
-  }
-
-  {
-    ros::obs::ScopedTimer t_cluster(
-        "stream.cluster", "pipeline",
-        &reg.histogram("stream.cluster.ms"));
-    report.clusters = filter_dense(
-        extract_clusters_labeled(report.cloud, dbscan_.labels()),
-        config_.tag_detector.min_density,
-        config_.tag_detector.min_points);
-    tel.add_stage("cluster", t_cluster.stop());
-  }
-  tel.n_clusters = report.clusters.size();
-  if (probe::capturing()) {
-    probe::funnel("clustered", !report.clusters.empty(),
-                  std::to_string(report.clusters.size()) +
-                      " dense clusters");
-    probe::stage_artifact("clusters", clusters_json(report.clusters));
-  }
 
   // Contiguous window views for the shared classify/decode stage (the
   // deques release their storage here; the stream is over).
@@ -551,12 +679,36 @@ InterrogationReport StreamingInterrogator::finalize_report() {
   win_profiles_normal_.clear();
   win_profiles_switched_.clear();
   if (probe::capturing()) {
+    probe::funnel("synthesized", consumed_ > 0,
+                  std::to_string(consumed_) + " frames");
+    probe::funnel("detected", !report.cloud.points.empty(),
+                  std::to_string(report.cloud.points.size()) +
+                      " point-cloud points");
     probe::stage_artifact(
         "range_fft_normal",
         range_profiles_json(profiles_normal, config_.noise_seed));
     probe::stage_artifact(
         "range_fft_switched",
         range_profiles_json(profiles_switched, config_.noise_seed));
+    probe::stage_artifact("pointcloud", pointcloud_json(report.cloud));
+  }
+
+  {
+    ros::obs::ScopedTimer t_cluster(names_->stage, "pipeline");
+    report.clusters = filter_dense(
+        extract_clusters_labeled(report.cloud, dbscan_.labels()),
+        config_.tag_detector.min_density,
+        config_.tag_detector.min_points);
+    stage_ms_ += t_cluster.stop();
+  }
+  tel.add_stage("cluster", stage_ms_);
+  reg.histogram(names_->stage_ms).observe(stage_ms_);
+  tel.n_clusters = report.clusters.size();
+  if (probe::capturing()) {
+    probe::funnel("clustered", !report.clusters.empty(),
+                  std::to_string(report.clusters.size()) +
+                      " dense clusters");
+    probe::stage_artifact("clusters", clusters_json(report.clusters));
   }
 
   const bool aperture_any = classify_and_decode_clusters(
@@ -564,7 +716,7 @@ InterrogationReport StreamingInterrogator::finalize_report() {
       max_abs_u_, report);
   tel.n_candidates = report.candidates.size();
   tel.n_tags = report.tags.size();
-  tel.total_ms = run_timer.stop();
+  tel.total_ms = record_run(names_->run, names_->run_ms, begin_us_);
   record_funnel(tel);
   record_read_funnel(!report.cloud.points.empty(),
                      !report.clusters.empty(), aperture_any,
@@ -592,119 +744,14 @@ InterrogationReport StreamingInterrogator::finalize_report() {
     }
     probe::end_read(report.tags.empty() ? "no_read" : "");
   }
-  ROS_LOG_INFO(kLog, "streaming interrogation finished",
+  ROS_LOG_INFO(kLog, "interrogation finished",
                ros::obs::kv("frames", tel.n_frames),
                ros::obs::kv("points", tel.n_points),
                ros::obs::kv("clusters", tel.n_clusters),
                ros::obs::kv("candidates", tel.n_candidates),
-               ros::obs::kv("tags", tel.n_tags));
+               ros::obs::kv("tags", tel.n_tags),
+               ros::obs::kv("total_ms", tel.total_ms));
   return report;
-}
-
-namespace {
-
-/// Shared threaded pump: one producer thread synthesizes frames in
-/// order (parallel blocks over ros::exec, pushed FIFO) onto a bounded
-/// SPSC queue; the calling thread consumes. The queue capacity is the
-/// backpressure contract — the producer blocks when the consumer lags.
-void pump_threaded(StreamingInterrogator& engine,
-                   const StreamingOptions& opts) {
-  const std::size_t n = engine.n_frames();
-  const std::size_t block =
-      std::max<std::size_t>(1, opts.producer_block);
-  ros::exec::SpscQueue<FramePacket> queue(
-      std::max<std::size_t>(1, opts.queue_capacity));
-  std::exception_ptr producer_error;
-
-  std::thread producer([&] {
-    try {
-      std::vector<FramePacket> batch(std::min(block, n));
-      for (std::size_t base = 0; base < n; base += block) {
-        const std::size_t count = std::min(block, n - base);
-        // Parallel heavy stage; FIFO push preserves frame order, which
-        // the consumer's bit-determinism depends on.
-        ros::exec::parallel_for(0, count, [&](std::size_t k) {
-          engine.synthesize_into(base + k, batch[k]);
-        });
-        for (std::size_t k = 0; k < count; ++k) {
-          if (!queue.push(std::move(batch[k]))) return;  // closed early
-        }
-      }
-    } catch (...) {
-      producer_error = std::current_exception();
-    }
-    queue.close();
-  });
-
-  auto& reg = ros::obs::MetricsRegistry::global();
-  ros::obs::Gauge& depth_gauge =
-      reg.gauge("pipeline.stream.queue_depth");
-  auto& flight = ros::obs::FlightRecorder::global();
-  const std::uint32_t queue_id = flight.intern("stream.queue");
-  FramePacket packet;
-  std::size_t popped = 0;
-  while (queue.pop(packet)) {
-    if ((popped++ & 63u) == 0u) {
-      const std::size_t depth = queue.depth();
-      depth_gauge.set(static_cast<double>(depth));
-      if (flight.enabled()) {
-        flight.record(ros::obs::FlightKind::queue_depth, queue_id,
-                      depth);
-      }
-    }
-    engine.consume(std::move(packet));
-  }
-  producer.join();
-  if (producer_error) std::rethrow_exception(producer_error);
-}
-
-}  // namespace
-
-DecodeDriveResult streaming_decode_drive(
-    const ros::scene::Scene& scene, const ros::scene::StraightDrive& drive,
-    const Vec2& tag_position, const InterrogatorConfig& config,
-    StreamingOptions opts) {
-  StreamingInterrogator engine(config, scene, drive, tag_position, opts);
-  const auto allocs_before = ros::obs::alloc_counters();
-  for (std::size_t i = 0; i < engine.n_frames(); ++i) {
-    engine.push_frame(i);
-  }
-  record_frame_loop_allocs("stream_decode.frame_loop.allocs_per_frame",
-                           allocs_before, engine.n_frames());
-  record_runtime_introspection(engine.n_frames());
-  return engine.finalize_decode();
-}
-
-InterrogationReport streaming_run(const ros::scene::Scene& scene,
-                                  const ros::scene::StraightDrive& drive,
-                                  const InterrogatorConfig& config,
-                                  StreamingOptions opts) {
-  StreamingInterrogator engine(config, scene, drive, opts);
-  const auto allocs_before = ros::obs::alloc_counters();
-  for (std::size_t i = 0; i < engine.n_frames(); ++i) {
-    engine.push_frame(i);
-  }
-  record_frame_loop_allocs("stream_run.frame_loop.allocs_per_frame",
-                           allocs_before, engine.n_frames());
-  record_runtime_introspection(engine.n_frames());
-  return engine.finalize_report();
-}
-
-DecodeDriveResult streaming_decode_drive_threaded(
-    const ros::scene::Scene& scene, const ros::scene::StraightDrive& drive,
-    const Vec2& tag_position, const InterrogatorConfig& config,
-    StreamingOptions opts) {
-  StreamingInterrogator engine(config, scene, drive, tag_position, opts);
-  pump_threaded(engine, opts);
-  return engine.finalize_decode();
-}
-
-InterrogationReport streaming_run_threaded(
-    const ros::scene::Scene& scene, const ros::scene::StraightDrive& drive,
-    const InterrogatorConfig& config, StreamingOptions opts) {
-  StreamingInterrogator engine(config, scene, drive, opts);
-  pump_threaded(engine, opts);
-  return engine.finalize_report();
 }
 
 }  // namespace ros::pipeline

@@ -2,6 +2,7 @@
 // at 1-6 m lateral distance, 10-30 mph, or a manually moved cart).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "ros/scene/geometry.hpp"
@@ -36,7 +37,12 @@ class StraightDrive {
   /// Vehicle velocity vector [m/s].
   Vec2 velocity() const { return {params_.speed_mps, 0.0}; }
 
-  /// Ground-truth radar poses at the radar frame rate.
+  /// Frames the drive yields at `frame_rate_hz`: floor(T * rate) + 1.
+  /// Throws std::invalid_argument unless the rate is finite and > 0.
+  std::size_t frame_count(double frame_rate_hz) const;
+
+  /// Ground-truth radar poses at the radar frame rate: frame i is
+  /// pose_at(i / frame_rate_hz) for i < frame_count(frame_rate_hz).
   std::vector<RadarPose> frames(double frame_rate_hz) const;
 
  private:

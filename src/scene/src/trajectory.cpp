@@ -30,11 +30,16 @@ RadarPose StraightDrive::pose_at(double t_s) const {
   return pose;
 }
 
+std::size_t StraightDrive::frame_count(double frame_rate_hz) const {
+  ROS_EXPECT(std::isfinite(frame_rate_hz) && frame_rate_hz > 0.0,
+             "frame rate must be finite and positive");
+  return static_cast<std::size_t>(std::floor(duration_s() * frame_rate_hz)) +
+         1;
+}
+
 std::vector<RadarPose> StraightDrive::frames(double frame_rate_hz) const {
-  ROS_EXPECT(frame_rate_hz > 0.0, "frame rate must be positive");
+  const std::size_t n = frame_count(frame_rate_hz);
   std::vector<RadarPose> out;
-  const double T = duration_s();
-  const auto n = static_cast<std::size_t>(std::floor(T * frame_rate_hz)) + 1;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(pose_at(static_cast<double>(i) / frame_rate_hz));

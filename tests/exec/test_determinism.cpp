@@ -1,7 +1,9 @@
 // Serial/parallel equivalence of the hot paths built on ros::exec: the
 // same inputs must produce bit-identical outputs at ROS_THREADS=1 and
 // ROS_THREADS=4. This is the contract that makes the parallel runtime
-// safe to enable by default.
+// safe to enable by default. The interrogation entry points must also
+// equal the naive serial reference in ros/testkit/reference.hpp at both
+// thread counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +13,8 @@
 #include "ros/exec/thread_pool.hpp"
 #include "ros/optim/differential_evolution.hpp"
 #include "ros/pipeline/interrogator.hpp"
+#include "ros/testkit/reference.hpp"
+#include "../support/stream_equality.hpp"
 
 namespace ra = ros::antenna;
 namespace re = ros::exec;
@@ -106,6 +110,10 @@ TEST(ExecDeterminism, InterrogatorRunIsThreadCountInvariant) {
               b.tags[t].decode.slot_amplitudes);
     expect_same_samples(a.tags[t].samples, b.tags[t].samples);
   }
+  const auto ref = ros::testkit::reference_interrogate(
+      world, default_drive(), fast_config());
+  EXPECT_EQ(ros::teststream::diff_report(a, ref), "");
+  EXPECT_EQ(ros::teststream::diff_report(b, ref), "");
 }
 
 TEST(ExecDeterminism, DecodeDriveIsThreadCountInvariant) {
@@ -118,6 +126,10 @@ TEST(ExecDeterminism, DecodeDriveIsThreadCountInvariant) {
   EXPECT_EQ(a.decode.slot_amplitudes, b.decode.slot_amplitudes);
   EXPECT_EQ(a.mean_rss_dbm, b.mean_rss_dbm);
   expect_same_samples(a.samples, b.samples);
+  const auto ref = ros::testkit::reference_decode_drive(
+      world, default_drive(), {0.0, 0.0}, fast_config());
+  EXPECT_EQ(ros::teststream::diff_decode_drive(a, ref), "");
+  EXPECT_EQ(ros::teststream::diff_decode_drive(b, ref), "");
 }
 
 TEST(ExecDeterminism, DifferentialEvolutionIsThreadCountInvariant) {

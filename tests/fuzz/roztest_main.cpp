@@ -45,6 +45,7 @@
 #include "ros/pipeline/interrogator.hpp"
 #include "ros/pipeline/streaming.hpp"
 #include "ros/testkit/oracles.hpp"
+#include "ros/testkit/reference.hpp"
 #include "ros/testkit/scenario.hpp"
 #include "../support/stream_equality.hpp"
 
@@ -227,8 +228,9 @@ tk::OracleVerdict check_decoder_agreement(const tk::Scenario& s) {
   return tk::OracleVerdict::fail(os.str());
 }
 
-/// Streaming differential oracle: the per-frame streaming engine must
-/// reproduce batch decode_drive BIT-identically on every scenario the
+/// Streaming differential oracle: decode_drive and the engine under
+/// explicit options must reproduce the naive serial reference
+/// (ros/testkit/reference.hpp) BIT-identically on every scenario the
 /// fuzzer can construct — any window size, including the degenerate
 /// few-frame passes case 13 of mutate() generates. The window rotates
 /// with the scenario hash so the sweep covers unbounded, single-frame,
@@ -237,20 +239,23 @@ tk::OracleVerdict check_streaming_equivalence(const tk::Scenario& s) {
   const auto scene = s.make_scene(&stackup());
   const auto drive = s.make_drive();
   const auto config = s.make_config();
-  const auto batch =
-      ros::pipeline::decode_drive(scene, drive, {0.0, 0.0}, config);
+  const auto ref =
+      tk::reference_decode_drive(scene, drive, {0.0, 0.0}, config);
+  std::string err = ros::teststream::diff_decode_drive(
+      ros::pipeline::decode_drive(scene, drive, {0.0, 0.0}, config), ref);
+  if (!err.empty()) {
+    return tk::OracleVerdict::fail("streaming equivalence: decode_drive: " +
+                                   err);
+  }
   const std::uint64_t h =
       ros::common::splitmix64(std::hash<std::string>{}(s.encode()));
   ros::pipeline::StreamingOptions opts;
   const std::size_t n = std::max<std::size_t>(s.n_frames(), 1);
   const std::size_t windows[] = {0, 1, n > 1 ? n - 1 : 1, n + 7};
   opts.window_frames = windows[h % 4];
-  const auto stream = (h >> 2) % 4 == 0
-                          ? ros::pipeline::streaming_decode_drive_threaded(
-                                scene, drive, {0.0, 0.0}, config, opts)
-                          : ros::pipeline::streaming_decode_drive(
-                                scene, drive, {0.0, 0.0}, config, opts);
-  const std::string err = ros::teststream::diff_decode_drive(stream, batch);
+  err = ros::teststream::diff_decode_drive(
+      ros::teststream::run_decode(scene, drive, {0.0, 0.0}, config, opts),
+      ref);
   if (!err.empty()) {
     return tk::OracleVerdict::fail(
         "streaming equivalence: " + err + " (window " +

@@ -4,6 +4,9 @@
 //   * `rostriage replay` reproduces the captured read bit-identically
 //     under every compiled ros::simd backend and at 1 vs 4 threads;
 //   * report/diff render the funnel and judge bundle identity.
+//   * reads captured through a StreamingInterrogator with non-default
+//     options (early emit, a bounded full-mode window) replay
+//     identically, because replay re-applies the option annotations.
 // The triage library is exercised in-process (same code the rostriage
 // binary wraps), so these tests cover the CLI's logic too.
 #include <gtest/gtest.h>
@@ -15,10 +18,13 @@
 #include <string>
 #include <vector>
 
+#include "ros/em/material.hpp"
 #include "ros/exec/thread_pool.hpp"
 #include "ros/obs/metrics.hpp"
 #include "ros/obs/probe.hpp"
+#include "ros/pipeline/streaming.hpp"
 #include "ros/simd/simd.hpp"
+#include "ros/testkit/scenario.hpp"
 #include "triage.hpp"
 
 namespace probe = ros::obs::probe;
@@ -34,6 +40,41 @@ std::string slurp(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// Capture one read of `s` through an engine built with `opts` — full
+/// mode when `full_run`, else decode mode at the origin — with the probe
+/// armed and the scenario attached. Returns the bundle path.
+std::string capture_engine_read(const ros::testkit::Scenario& s,
+                                bool full_run,
+                                ros::pipeline::StreamingOptions opts) {
+  const auto stackup = ros::em::StriplineStackup::ros_default();
+  const auto scene = s.make_scene(&stackup);
+  const auto drive = s.make_drive();
+  const auto config = s.make_config();
+  probe::set_mode(probe::Mode::always);
+  probe::set_sample_period(1);
+  probe::set_context(s.encode(), s.bit_vector());
+  if (full_run) {
+    ros::pipeline::StreamingInterrogator engine(config, scene, drive, opts);
+    engine.run_frames();
+    (void)engine.finalize_report();
+  } else {
+    ros::pipeline::StreamingInterrogator engine(
+        config, scene, drive, ros::scene::Vec2{0.0, 0.0}, opts);
+    engine.run_frames();
+    (void)engine.finalize_decode();
+  }
+  probe::set_mode(probe::Mode::off);
+  probe::clear_context();
+  return probe::last_bundle_path();
+}
+
+bool has_stage(const ros::triage::Bundle& b, const std::string& stage) {
+  for (const auto& s : b.funnel()) {
+    if (s.stage == stage) return true;
+  }
+  return false;
 }
 
 class ReadProvenanceTest : public ::testing::Test {
@@ -154,6 +195,56 @@ TEST_F(ReadProvenanceTest, FullRunCapturesInterrogateBundle) {
   const auto r = ros::triage::replay(b);
   ASSERT_TRUE(r.ran) << r.detail;
   EXPECT_TRUE(r.identical) << r.detail;
+}
+
+TEST_F(ReadProvenanceTest, EarlyEmitEngineReadReplaysIdentically) {
+  // A 60 deg decode FoV on a jitter-free drive arms the early-emit gate:
+  // the bundle carries the extra early_emit funnel stage, and replay
+  // reproduces it only because it re-applies the early_emit annotation.
+  ros::testkit::Scenario s;
+  s.decode_fov_rad = 1.0471975511965976;
+  s.sanitize();
+  ros::pipeline::StreamingOptions opts;
+  opts.early_emit = true;
+  const std::string path = capture_engine_read(s, false, opts);
+  ASSERT_FALSE(path.empty());
+  const ros::triage::Bundle b = ros::triage::load_bundle(path);
+  EXPECT_EQ(b.kind(), "decode_drive");
+  EXPECT_TRUE(has_stage(b, "early_emit"));
+  EXPECT_EQ(b.decoded_bits(), b.expected_bits());
+
+  const auto r = ros::triage::replay(b);
+  ASSERT_TRUE(r.ran) << r.detail;
+  EXPECT_TRUE(r.identical) << r.detail;
+  bool identical = false;
+  const std::string d =
+      ros::triage::diff(b, ros::triage::load_bundle(r.bundle_path),
+                        &identical);
+  EXPECT_TRUE(identical) << d;
+}
+
+TEST_F(ReadProvenanceTest, WindowedFullModeEngineReadReplaysIdentically) {
+  // A bounded full-mode window reports only the surviving frames; the
+  // replay must run the same window to reproduce the funnel.
+  ros::testkit::Scenario s;
+  s.clutter.push_back({0, 1.3, 0.4});
+  s.sanitize();
+  ros::pipeline::StreamingOptions opts;
+  opts.window_frames = 120;
+  const std::string path = capture_engine_read(s, true, opts);
+  ASSERT_FALSE(path.empty());
+  const ros::triage::Bundle b = ros::triage::load_bundle(path);
+  EXPECT_EQ(b.kind(), "interrogate");
+  EXPECT_TRUE(has_stage(b, "clustered"));
+
+  const auto r = ros::triage::replay(b);
+  ASSERT_TRUE(r.ran) << r.detail;
+  EXPECT_TRUE(r.identical) << r.detail;
+  bool identical = false;
+  const std::string d =
+      ros::triage::diff(b, ros::triage::load_bundle(r.bundle_path),
+                        &identical);
+  EXPECT_TRUE(identical) << d;
 }
 
 TEST_F(ReadProvenanceTest, CodebookCaptureReportsScoresAndReplays) {

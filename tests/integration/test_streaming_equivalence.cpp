@@ -1,13 +1,16 @@
-// Streaming/batch equivalence — the metamorphic proof harness (ISSUE
-// tentpole acceptance). Over 100+ randomized testkit scenarios the
-// streaming engine must reproduce the batch pipeline BIT-IDENTICALLY
+// Engine/reference equivalence — the metamorphic proof harness. Over
+// 100+ randomized testkit scenarios, decode_drive, Interrogator::run,
+// and the engine under explicit StreamingOptions must reproduce the
+// naive serial reference in ros/testkit/reference.hpp BIT-IDENTICALLY
 // (operator==, no epsilon): same samples, same decoded bits and
-// decision variables, same funnel verdict, same read/no-read outcome —
+// decision variables, same mean RSS, same read/no-read outcome —
 // across window sizes, frame-delivery chunking, decoder backends, and
-// the threaded SPSC drivers. The sweep also enforces the early-emit
-// laws on every scenario where the gate can arm: an emitted readout
-// equals the batch readout, and the global no-retraction counter never
-// moves.
+// executor counts. The reference clusters with batch extract_clusters
+// and samples with whole-drive sample_rss / mean_rss_dbm, so the sweep
+// also checks the incremental DBSCAN and the per-frame spotlight and
+// running mean. It enforces the early-emit laws on every scenario where
+// the gate can arm: an emitted readout equals the reference readout,
+// and the global no-retraction counter never moves.
 //
 // CI runs this file as its own job (`streaming-equivalence`) under
 // ROS_THREADS=4 ROS_SIMD=scalar ROS_DECODER=codebook with the probe
@@ -21,8 +24,10 @@
 
 #include "ros/common/random.hpp"
 #include "ros/em/material.hpp"
+#include "ros/exec/thread_pool.hpp"
 #include "ros/obs/metrics.hpp"
 #include "ros/pipeline/streaming.hpp"
+#include "ros/testkit/reference.hpp"
 #include "ros/testkit/scenario.hpp"
 #include "../support/stream_equality.hpp"
 
@@ -33,8 +38,24 @@ using ros::common::Rng;
 using ros::teststream::diff_decode;
 using ros::teststream::diff_decode_drive;
 using ros::teststream::diff_report;
+using ros::teststream::run_decode;
+using ros::teststream::run_full;
 
 namespace {
+
+/// Run `fn` on a global pool of `threads` executors, then restore the
+/// default pool.
+template <typename Fn>
+auto on_threads(std::size_t threads, Fn&& fn) {
+  struct Restore {
+    ~Restore() {
+      ros::exec::ThreadPool::set_global_threads(
+          ros::exec::default_threads());
+    }
+  } restore;
+  ros::exec::ThreadPool::set_global_threads(threads);
+  return fn();
+}
 
 const ros::em::StriplineStackup& stackup() {
   static const auto s = ros::em::StriplineStackup::ros_default();
@@ -84,8 +105,8 @@ rp::DecodeDriveResult run_chunked(const tk::Scenario& s,
 
 TEST(StreamingEquivalence, DecodeModeBitIdenticalAcrossScenarioSweep) {
   // >= 100 randomized scenarios x a rotating matrix of window size,
-  // decoder backend, delivery chunking, and threaded drivers. Every leg
-  // must be exactly equal to decode_drive.
+  // decoder backend, delivery chunking, and executor count. Every leg
+  // must be exactly equal to the reference decode.
   constexpr std::uint64_t kScenarios = 108;
   const std::uint64_t mismatches_before =
       counter("pipeline.stream.emit_mismatch");
@@ -103,57 +124,62 @@ TEST(StreamingEquivalence, DecodeModeBitIdenticalAcrossScenarioSweep) {
                           : (k % 3 == 1) ? rt::DecoderBackend::codebook
                                          : rt::DecoderBackend::cross_check;
 
-    const auto batch = rp::decode_drive(scene, drive, {0.0, 0.0}, cfg);
+    const auto ref =
+        tk::reference_decode_drive(scene, drive, {0.0, 0.0}, cfg);
 
-    // Leg 1: single-threaded driver, rotating window size (the decode
+    // Leg 1: the decode_drive entry point.
+    ASSERT_EQ(diff_decode_drive(
+                  rp::decode_drive(scene, drive, {0.0, 0.0}, cfg), ref),
+              "")
+        << "decode_drive";
+
+    // Leg 2: the shared driver under a rotating window size (the decode
     // contract: the window is irrelevant). Include the degenerate
     // window-1 and a window of n_frames - 1.
     rp::StreamingOptions opts;
     const std::size_t n = std::max<std::size_t>(s.n_frames(), 1);
     const std::size_t windows[] = {0, 1, 7, n > 1 ? n - 1 : 1, n + 3};
     opts.window_frames = windows[k % 5];
-    const auto inline_result = rp::streaming_decode_drive(
-        scene, drive, {0.0, 0.0}, cfg, opts);
-    ASSERT_EQ(diff_decode_drive(inline_result, batch), "")
-        << "inline driver, window " << opts.window_frames;
+    ASSERT_EQ(diff_decode_drive(run_decode(scene, drive, {0.0, 0.0}, cfg,
+                                           opts),
+                                ref),
+              "")
+        << "shared driver, window " << opts.window_frames;
 
-    // Leg 2: hostile chunked delivery (reverse-order synthesis inside
+    // Leg 3: hostile chunked delivery (reverse-order synthesis inside
     // each block), rotating chunk size including 1 and > n_frames.
     const std::size_t chunks[] = {1, 3, 16, 1024};
     const auto chunked = run_chunked(s, cfg, chunks[k % 4]);
-    ASSERT_EQ(diff_decode_drive(chunked, batch), "")
+    ASSERT_EQ(diff_decode_drive(chunked, ref), "")
         << "chunked delivery, chunk " << chunks[k % 4];
 
-    // Leg 3 (every 3rd scenario — thread startup isn't free): the SPSC
-    // producer/consumer driver at a rotating queue capacity.
+    // Leg 4 (every 3rd scenario — pool startup isn't free): the shared
+    // driver on a pinned 1- or 4-executor pool.
     if (k % 3 == 0) {
-      rp::StreamingOptions topts;
-      topts.queue_capacity = (k % 2 == 0) ? 1 : 32;
-      topts.producer_block = 4 + k % 13;
-      const auto threaded = rp::streaming_decode_drive_threaded(
-          scene, drive, {0.0, 0.0}, cfg, topts);
-      ASSERT_EQ(diff_decode_drive(threaded, batch), "")
-          << "threaded driver, queue " << topts.queue_capacity;
+      const std::size_t threads = (k % 2 == 0) ? 4 : 1;
+      const auto pooled = on_threads(threads, [&] {
+        return rp::decode_drive(scene, drive, {0.0, 0.0}, cfg);
+      });
+      ASSERT_EQ(diff_decode_drive(pooled, ref), "")
+          << "shared driver on " << threads << " executors";
     }
 
     // Early-emit law, wherever the gate can arm (FoV truncation on and
-    // jitter-free tracking): an emitted readout equals the batch read.
+    // jitter-free tracking): an emitted readout equals the reference.
     if (cfg.decode_fov_rad > 0.0 && cfg.decode_fov_rad < 3.0 &&
         cfg.tracking.jitter_std_m == 0.0) {
       rp::StreamingOptions eopts;
       eopts.early_emit = true;
       rp::StreamingInterrogator engine(
           cfg, scene, drive, ros::scene::Vec2{0.0, 0.0}, eopts);
-      for (std::size_t i = 0; i < engine.n_frames(); ++i) {
-        engine.push_frame(i);
-      }
+      engine.run_frames();
       if (engine.has_emitted()) {
-        ASSERT_EQ(diff_decode(engine.emitted_decode(), batch.decode), "")
-            << "early emit diverged from batch";
+        ASSERT_EQ(diff_decode(engine.emitted_decode(), ref.decode), "")
+            << "early emit diverged from the reference";
         ++early_emit_checked;
       }
       const auto finalized = engine.finalize_decode();
-      ASSERT_EQ(diff_decode_drive(finalized, batch), "")
+      ASSERT_EQ(diff_decode_drive(finalized, ref), "")
           << "early-emit engine finalize diverged";
     }
   }
@@ -165,9 +191,9 @@ TEST(StreamingEquivalence, DecodeModeBitIdenticalAcrossScenarioSweep) {
 }
 
 TEST(StreamingEquivalence, FullModeBitIdenticalWhenWindowCoversDrive) {
-  // The full pipeline (detect + cluster + classify + decode) streamed
-  // against Interrogator::run — unbounded window and a window that
-  // exactly covers the drive are both batch-identical.
+  // The full pipeline (detect + cluster + classify + decode) against
+  // the reference: Interrogator::run (unbounded window) and a window
+  // that exactly covers the drive are both reference-identical.
   for (std::uint64_t k = 0; k < 14; ++k) {
     const tk::Scenario s = scenario_at(1000 + k);
     SCOPED_TRACE("scenario " + std::to_string(k) + "\n" + s.encode());
@@ -175,23 +201,22 @@ TEST(StreamingEquivalence, FullModeBitIdenticalWhenWindowCoversDrive) {
     const auto drive = s.make_drive();
     const rp::InterrogatorConfig cfg = s.make_config();
 
-    const auto batch = rp::Interrogator(cfg).run(scene, drive);
+    const auto ref = tk::reference_interrogate(scene, drive, cfg);
+
+    const auto run = rp::Interrogator(cfg).run(scene, drive);
+    ASSERT_EQ(diff_report(run, ref), "") << "Interrogator::run";
 
     rp::StreamingOptions opts;
-    opts.window_frames = (k % 2 == 0) ? 0 : batch.n_frames;
-    const auto inline_result =
-        rp::streaming_run(scene, drive, cfg, opts);
-    ASSERT_EQ(diff_report(inline_result, batch), "")
-        << "inline full mode, window " << opts.window_frames;
+    opts.window_frames = (k % 2 == 0) ? 0 : ref.n_frames;
+    ASSERT_EQ(diff_report(run_full(scene, drive, cfg, opts), ref), "")
+        << "shared driver, window " << opts.window_frames;
 
     if (k % 4 == 0) {
-      rp::StreamingOptions topts;
-      topts.queue_capacity = 2;
-      topts.producer_block = 8;
-      const auto threaded =
-          rp::streaming_run_threaded(scene, drive, cfg, topts);
-      ASSERT_EQ(diff_report(threaded, batch), "")
-          << "threaded full mode";
+      const std::size_t threads = (k % 8 == 0) ? 4 : 1;
+      const auto pooled = on_threads(
+          threads, [&] { return rp::Interrogator(cfg).run(scene, drive); });
+      ASSERT_EQ(diff_report(pooled, ref), "")
+          << "Interrogator::run on " << threads << " executors";
     }
   }
 }
@@ -212,7 +237,7 @@ TEST(StreamingEquivalence, BoundedWindowClustersMatchBatchOfSurvivors) {
     const std::size_t n = std::max<std::size_t>(s.n_frames(), 1);
     const std::size_t windows[] = {1, 2, n / 2 + 1, n > 1 ? n - 1 : 1};
     opts.window_frames = windows[k % 4];
-    const auto report = rp::streaming_run(scene, drive, cfg, opts);
+    const auto report = run_full(scene, drive, cfg, opts);
 
     for (const auto& p : report.cloud.points) {
       ASSERT_GE(p.frame + opts.window_frames, report.n_frames)

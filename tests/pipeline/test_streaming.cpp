@@ -1,24 +1,30 @@
-// StreamingInterrogator behavior tests: batch equivalence on the
-// fixture scenes, prefix consistency, the early-emit laws (emit equals
-// the batch decode; no retraction), degenerate frame counts, threaded
-// drivers vs inline, bounded-window clustering, and the probe-armed
-// early-emit capture path. The broad randomized metamorphic sweep lives
-// in tests/integration/test_streaming_equivalence.cpp; these are the
+// StreamingInterrogator behavior tests: equivalence with the naive
+// ros::testkit reference on the fixture scenes, prefix consistency, the
+// early-emit laws (emit equals the reference decode; no retraction),
+// degenerate frame counts, the shared frame driver at 1 and 4 threads,
+// bounded-window clustering, frame-rate validation at every entry
+// point, and the probe-armed early-emit capture path. The broad
+// randomized metamorphic sweep lives in
+// tests/integration/test_streaming_equivalence.cpp; these are the
 // targeted, readable cases.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "../support/stream_equality.hpp"
 #include "ros/common/angles.hpp"
+#include "ros/exec/thread_pool.hpp"
 #include "ros/obs/metrics.hpp"
 #include "ros/obs/probe.hpp"
 #include "ros/pipeline/features.hpp"
 #include "ros/pipeline/streaming.hpp"
+#include "ros/testkit/reference.hpp"
 
 namespace rp = ros::pipeline;
 namespace rs = ros::scene;
@@ -28,6 +34,10 @@ using ros::teststream::diff_cluster;
 using ros::teststream::diff_decode;
 using ros::teststream::diff_decode_drive;
 using ros::teststream::diff_report;
+using ros::teststream::run_decode;
+using ros::teststream::run_full;
+using ros::testkit::reference_decode_drive;
+using ros::testkit::reference_interrogate;
 
 namespace {
 
@@ -67,11 +77,11 @@ std::uint64_t counter(const char* name) {
 TEST(Streaming, DecodeModeMatchesBatchExactly) {
   const auto world = make_world();
   const auto cfg = fast_config();
-  const auto batch = rp::decode_drive(world, default_drive(), {0.0, 0.0},
-                                      cfg);
-  const auto stream = rp::streaming_decode_drive(world, default_drive(),
-                                                 {0.0, 0.0}, cfg);
-  EXPECT_EQ(diff_decode_drive(stream, batch), "");
+  const auto ref =
+      reference_decode_drive(world, default_drive(), {0.0, 0.0}, cfg);
+  const auto stream = rp::decode_drive(world, default_drive(), {0.0, 0.0},
+                                       cfg);
+  EXPECT_EQ(diff_decode_drive(stream, ref), "");
   EXPECT_EQ(stream.decode.bits,
             (std::vector<bool>{true, false, true, true}));
 }
@@ -82,25 +92,26 @@ TEST(Streaming, DecodeModeMatchesBatchWithFovStrideAndCodebook) {
   cfg.decode_fov_rad = ros::common::deg_to_rad(60.0);
   cfg.frame_stride = 7;
   cfg.decoder.backend = rt::DecoderBackend::codebook;
-  const auto batch = rp::decode_drive(world, default_drive(), {0.0, 0.0},
-                                      cfg);
-  const auto stream = rp::streaming_decode_drive(world, default_drive(),
-                                                 {0.0, 0.0}, cfg);
-  EXPECT_EQ(diff_decode_drive(stream, batch), "");
+  const auto ref =
+      reference_decode_drive(world, default_drive(), {0.0, 0.0}, cfg);
+  const auto stream = rp::decode_drive(world, default_drive(), {0.0, 0.0},
+                                       cfg);
+  EXPECT_EQ(diff_decode_drive(stream, ref), "");
 }
 
 TEST(Streaming, DecodeModeWindowSizeIsIrrelevant) {
-  // The contract: decode mode is batch-identical at EVERY window size.
+  // The contract: decode mode is reference-identical at EVERY window
+  // size.
   const auto world = make_world();
   const auto cfg = fast_config();
-  const auto batch = rp::decode_drive(world, default_drive(), {0.0, 0.0},
-                                      cfg);
+  const auto ref =
+      reference_decode_drive(world, default_drive(), {0.0, 0.0}, cfg);
   for (const std::size_t window : {0ul, 1ul, 3ul, 1000ul}) {
     rp::StreamingOptions opts;
     opts.window_frames = window;
-    const auto stream = rp::streaming_decode_drive(
-        world, default_drive(), {0.0, 0.0}, cfg, opts);
-    EXPECT_EQ(diff_decode_drive(stream, batch), "")
+    const auto stream =
+        run_decode(world, default_drive(), {0.0, 0.0}, cfg, opts);
+    EXPECT_EQ(diff_decode_drive(stream, ref), "")
         << "window " << window;
   }
 }
@@ -108,21 +119,20 @@ TEST(Streaming, DecodeModeWindowSizeIsIrrelevant) {
 TEST(Streaming, FullModeMatchesBatchUnbounded) {
   const auto world = make_world();
   const auto cfg = fast_config();
-  const auto batch = rp::Interrogator(cfg).run(world, default_drive());
-  const auto stream = rp::streaming_run(world, default_drive(), cfg);
-  EXPECT_EQ(diff_report(stream, batch), "");
+  const auto ref = reference_interrogate(world, default_drive(), cfg);
+  const auto stream = rp::Interrogator(cfg).run(world, default_drive());
+  EXPECT_EQ(diff_report(stream, ref), "");
   ASSERT_EQ(stream.tags.size(), 1u);
 }
 
 TEST(Streaming, FullModeWindowCoveringDriveMatchesBatch) {
   const auto world = make_world();
   const auto cfg = fast_config();
-  const auto batch = rp::Interrogator(cfg).run(world, default_drive());
+  const auto ref = reference_interrogate(world, default_drive(), cfg);
   rp::StreamingOptions opts;
   opts.window_frames = 100000;  // >= n_frames: nothing ever evicted
-  const auto stream =
-      rp::streaming_run(world, default_drive(), cfg, opts);
-  EXPECT_EQ(diff_report(stream, batch), "");
+  const auto stream = run_full(world, default_drive(), cfg, opts);
+  EXPECT_EQ(diff_report(stream, ref), "");
 }
 
 TEST(Streaming, BoundedWindowReportCoversExactlySurvivors) {
@@ -133,8 +143,7 @@ TEST(Streaming, BoundedWindowReportCoversExactlySurvivors) {
   const auto cfg = fast_config();
   rp::StreamingOptions opts;
   opts.window_frames = 20;
-  const auto stream =
-      rp::streaming_run(world, default_drive(), cfg, opts);
+  const auto stream = run_full(world, default_drive(), cfg, opts);
   ASSERT_GT(stream.n_frames, opts.window_frames);
   for (const auto& p : stream.cloud.points) {
     EXPECT_GE(p.frame, stream.n_frames - opts.window_frames);
@@ -150,28 +159,38 @@ TEST(Streaming, BoundedWindowReportCoversExactlySurvivors) {
   }
 }
 
-TEST(Streaming, ThreadedDriversMatchInlineAtEveryQueueCapacity) {
+TEST(Streaming, SharedDriverMatchesReferenceAtOneAndFourThreads) {
+  // run_frames() synthesizes each block under parallel_for in any order
+  // and consumes it in frame order: at 1 and at 4 executors, every entry
+  // point equals the serial reference bit for bit.
+  struct ThreadsGuard {
+    ~ThreadsGuard() {
+      ros::exec::ThreadPool::set_global_threads(
+          ros::exec::default_threads());
+    }
+  } guard;
   const auto world = make_world();
   const auto cfg = fast_config();
-  const auto inline_decode = rp::streaming_decode_drive(
-      world, default_drive(), {0.0, 0.0}, cfg);
-  for (const std::size_t cap : {1ul, 3ul, 64ul}) {
+  const auto ref_decode =
+      reference_decode_drive(world, default_drive(), {0.0, 0.0}, cfg);
+  const auto ref_full = reference_interrogate(world, default_drive(), cfg);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ros::exec::ThreadPool::set_global_threads(threads);
+    EXPECT_EQ(diff_decode_drive(rp::decode_drive(world, default_drive(),
+                                                 {0.0, 0.0}, cfg),
+                                ref_decode),
+              "");
     rp::StreamingOptions opts;
-    opts.queue_capacity = cap;
-    opts.producer_block = 5;
-    const auto threaded = rp::streaming_decode_drive_threaded(
-        world, default_drive(), {0.0, 0.0}, cfg, opts);
-    EXPECT_EQ(diff_decode_drive(threaded, inline_decode), "")
-        << "queue capacity " << cap;
+    opts.window_frames = 3;
+    EXPECT_EQ(diff_decode_drive(
+                  run_decode(world, default_drive(), {0.0, 0.0}, cfg, opts),
+                  ref_decode),
+              "");
+    EXPECT_EQ(diff_report(rp::Interrogator(cfg).run(world, default_drive()),
+                          ref_full),
+              "");
   }
-
-  const auto inline_full = rp::streaming_run(world, default_drive(), cfg);
-  rp::StreamingOptions opts;
-  opts.queue_capacity = 2;
-  opts.producer_block = 3;
-  const auto threaded_full =
-      rp::streaming_run_threaded(world, default_drive(), cfg, opts);
-  EXPECT_EQ(diff_report(threaded_full, inline_full), "");
 }
 
 TEST(Streaming, ConsumeEnforcesFrameOrder) {
@@ -208,15 +227,14 @@ TEST(Streaming, SingleFrameDriveStillMatchesBatch) {
                                         .speed_mps = 12.0,
                                         .start_x_m = -0.05,
                                         .end_x_m = 0.05});
-  const auto batch = rp::decode_drive(world, drive, {0.0, 0.0}, cfg);
-  const auto stream =
-      rp::streaming_decode_drive(world, drive, {0.0, 0.0}, cfg);
-  EXPECT_EQ(diff_decode_drive(stream, batch), "");
+  const auto ref = reference_decode_drive(world, drive, {0.0, 0.0}, cfg);
+  const auto stream = rp::decode_drive(world, drive, {0.0, 0.0}, cfg);
+  EXPECT_EQ(diff_decode_drive(stream, ref), "");
 
-  const auto batch_full = rp::Interrogator(cfg).run(world, drive);
-  const auto stream_full = rp::streaming_run(world, drive, cfg);
+  const auto ref_full = reference_interrogate(world, drive, cfg);
+  const auto stream_full = rp::Interrogator(cfg).run(world, drive);
   EXPECT_EQ(stream_full.n_frames, 1u);
-  EXPECT_EQ(diff_report(stream_full, batch_full), "");
+  EXPECT_EQ(diff_report(stream_full, ref_full), "");
 }
 
 TEST(Streaming, PrefixConsistencySamplesArePrefixes) {
@@ -224,8 +242,8 @@ TEST(Streaming, PrefixConsistencySamplesArePrefixes) {
   // samples of the full pass — no state leaks across the cut.
   const auto world = make_world();
   const auto cfg = fast_config();
-  const auto full = rp::streaming_decode_drive(world, default_drive(),
-                                               {0.0, 0.0}, cfg);
+  const auto full = rp::decode_drive(world, default_drive(), {0.0, 0.0},
+                                     cfg);
   const std::size_t n = full.samples.size();
   ASSERT_GT(n, 4u);
   for (const std::size_t k : {std::size_t{1}, n / 2, n - 1}) {
@@ -267,15 +285,15 @@ TEST(Streaming, EarlyEmitEqualsFinalDecodeBitForBit) {
   EXPECT_EQ(counter("pipeline.stream.emit_mismatch"), mismatches_before);
   EXPECT_EQ(counter("pipeline.stream.early_emits"), emits_before + 1);
 
-  // And the emitted read equals the plain batch read.
-  const auto batch = rp::decode_drive(world, default_drive(), {0.0, 0.0},
-                                      cfg);
-  EXPECT_EQ(diff_decode(emitted, batch.decode), "");
+  // And the emitted read equals the reference read.
+  const auto ref =
+      reference_decode_drive(world, default_drive(), {0.0, 0.0}, cfg);
+  EXPECT_EQ(diff_decode(emitted, ref.decode), "");
 }
 
 TEST(Streaming, EarlyEmitCanStopConsumingAtEmitFrame) {
   // The point of early emit: the consumer may stop right after the
-  // emission and still hold the final (batch-identical) readout.
+  // emission and still hold the final (reference-identical) readout.
   const auto world = make_world();
   auto cfg = fast_config();
   cfg.decode_fov_rad = ros::common::deg_to_rad(60.0);
@@ -289,9 +307,9 @@ TEST(Streaming, EarlyEmitCanStopConsumingAtEmitFrame) {
     engine.push_frame(i++);
   }
   ASSERT_TRUE(engine.has_emitted());
-  const auto batch = rp::decode_drive(world, default_drive(), {0.0, 0.0},
-                                      cfg);
-  EXPECT_EQ(diff_decode(engine.emitted_decode(), batch.decode), "");
+  const auto ref =
+      reference_decode_drive(world, default_drive(), {0.0, 0.0}, cfg);
+  EXPECT_EQ(diff_decode(engine.emitted_decode(), ref.decode), "");
   (void)engine.finalize_decode();  // still clean after a partial feed
 }
 
@@ -324,15 +342,41 @@ TEST(Streaming, EmitAccessorsThrowBeforeEmission) {
 TEST(Streaming, RetainSamplesOffDropsOutputButNotDecode) {
   const auto world = make_world();
   const auto cfg = fast_config();
-  const auto batch = rp::decode_drive(world, default_drive(), {0.0, 0.0},
-                                      cfg);
+  const auto ref =
+      reference_decode_drive(world, default_drive(), {0.0, 0.0}, cfg);
   rp::StreamingOptions opts;
   opts.retain_samples = false;
-  const auto stream = rp::streaming_decode_drive(
-      world, default_drive(), {0.0, 0.0}, cfg, opts);
+  const auto stream =
+      run_decode(world, default_drive(), {0.0, 0.0}, cfg, opts);
   EXPECT_TRUE(stream.samples.empty());
-  EXPECT_EQ(diff_decode(stream.decode, batch.decode), "");
-  EXPECT_EQ(stream.mean_rss_dbm, batch.mean_rss_dbm);
+  EXPECT_EQ(diff_decode(stream.decode, ref.decode), "");
+  EXPECT_EQ(stream.mean_rss_dbm, ref.mean_rss_dbm);
+}
+
+TEST(Streaming, NonPositiveFrameRateIsRejectedByEveryEntryPoint) {
+  // A zero, negative, or NaN chirp frame rate has no frame grid: every
+  // entry point refuses it up front with std::invalid_argument.
+  const auto world = make_world();
+  rp::StreamingInterrogator recycled(fast_config(), world, default_drive(),
+                                     rs::Vec2{0.0, 0.0});
+  for (const double rate : {0.0, -1.0, std::nan("")}) {
+    SCOPED_TRACE("frame_rate_hz " + std::to_string(rate));
+    auto cfg = fast_config();
+    cfg.chirp.frame_rate_hz = rate;
+    EXPECT_THROW({ const rp::Interrogator inter(cfg); },
+                 std::invalid_argument);
+    EXPECT_THROW(
+        (void)rp::decode_drive(world, default_drive(), {0.0, 0.0}, cfg),
+        std::invalid_argument);
+    EXPECT_THROW(rp::StreamingInterrogator(cfg, world, default_drive(),
+                                           rs::Vec2{0.0, 0.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(rp::StreamingInterrogator(cfg, world, default_drive()),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        recycled.rebind(cfg, world, default_drive(), rs::Vec2{0.0, 0.0}),
+        std::invalid_argument);
+  }
 }
 
 // --- probe-armed early-emit capture ---------------------------------
@@ -360,8 +404,8 @@ TEST_F(StreamingProbeTest, EarlyEmitPathCapturesProvenanceBundle) {
   cfg.decode_fov_rad = ros::common::deg_to_rad(60.0);
   rp::StreamingOptions opts;
   opts.early_emit = true;
-  const auto stream = rp::streaming_decode_drive(
-      world, default_drive(), {0.0, 0.0}, cfg, opts);
+  const auto stream =
+      run_decode(world, default_drive(), {0.0, 0.0}, cfg, opts);
   probe::set_mode(probe::Mode::off);
   ASSERT_FALSE(stream.decode.bits.empty());
 
@@ -371,9 +415,9 @@ TEST_F(StreamingProbeTest, EarlyEmitPathCapturesProvenanceBundle) {
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string bundle = buf.str();
-  // The bundle records the streaming read kind, the early-emit funnel
-  // stage, and the emit-time artifacts.
-  EXPECT_NE(bundle.find("stream_decode"), std::string::npos);
+  // The bundle records the decode_drive read kind, the early-emit
+  // funnel stage, and the emit-time artifacts.
+  EXPECT_NE(bundle.find("\"decode_drive\""), std::string::npos);
   EXPECT_NE(bundle.find("early_emit"), std::string::npos);
   EXPECT_NE(bundle.find("emit_frame"), std::string::npos);
   EXPECT_NE(bundle.find("bit_margins"), std::string::npos);

@@ -12,10 +12,13 @@
 #include "ros/obs/probe.hpp"
 #include "ros/pipeline/interrogator.hpp"
 #include "ros/pipeline/streaming.hpp"
+#include "../support/stream_equality.hpp"
 
 namespace rp = ros::pipeline;
 namespace rs = ros::scene;
 namespace rt = ros::tag;
+using ros::teststream::run_decode;
+using ros::teststream::run_full;
 
 namespace {
 
@@ -200,22 +203,26 @@ TEST(ZeroAlloc, StreamingDecodeLoopStaysInsideBatchBudget) {
   if (!ros::obs::alloc_counting_enabled()) {
     GTEST_SKIP() << "ROS_OBS_COUNT_ALLOCS is off";
   }
-  // The streaming restructure must not buy latency with garbage: its
-  // per-frame loop carries the SAME allocation budget as batch
-  // decode_drive (the per-frame profile is the only steady-state
-  // output; sample/series storage is reserved up front).
+  // The engine's options must not buy latency with garbage: a
+  // windowed, early-emit, sample-dropping decode-mode engine carries the
+  // SAME per-frame allocation budget as decode_drive (sample/series
+  // storage is reserved up front; the emit-time decode runs once).
   const auto world = make_world();
   rp::InterrogatorConfig cfg;
   cfg.frame_stride = 10;
+  cfg.decode_fov_rad = 1.0;
+  rp::StreamingOptions opts;
+  opts.window_frames = 3;
+  opts.early_emit = true;
+  opts.retain_samples = false;
 
-  (void)rp::streaming_decode_drive(world, short_drive(), {0.0, 0.0}, cfg);
+  (void)run_decode(world, short_drive(), {0.0, 0.0}, cfg, opts);
   const std::uint64_t grows_before = arena_grows();
-  const auto steady =
-      rp::streaming_decode_drive(world, short_drive(), {0.0, 0.0}, cfg);
+  const auto steady = run_decode(world, short_drive(), {0.0, 0.0}, cfg, opts);
   EXPECT_EQ(arena_grows(), grows_before)
       << "steady-state streaming decode grew a scratch arena";
-  ASSERT_GT(steady.samples.size(), 0u);
-  EXPECT_LE(gauge("stream_decode.frame_loop.allocs_per_frame"), 16.0)
+  EXPECT_TRUE(steady.samples.empty());
+  EXPECT_LE(gauge("decode_drive.frame_loop.allocs_per_frame"), 16.0)
       << "streaming decode allocates per frame beyond its output profile";
 }
 
@@ -223,19 +230,22 @@ TEST(ZeroAlloc, StreamingFullLoopAllocsAreBounded) {
   if (!ros::obs::alloc_counting_enabled()) {
     GTEST_SKIP() << "ROS_OBS_COUNT_ALLOCS is off";
   }
+  // A bounded window evicts as it goes; its frame loop stays O(1) per
+  // frame like the unbounded one (two retained profiles plus detection
+  // output per frame) with a small incremental-DBSCAN surcharge
+  // (grid-cell vectors as new eps-cells come alive).
   const auto world = make_world();
   rp::InterrogatorConfig cfg;
   cfg.frame_stride = 10;
+  rp::StreamingOptions opts;
+  opts.window_frames = 8;
 
-  (void)rp::streaming_run(world, short_drive(), cfg);
+  (void)run_full(world, short_drive(), cfg, opts);
   const std::uint64_t grows_before = arena_grows();
-  (void)rp::streaming_run(world, short_drive(), cfg);
+  (void)run_full(world, short_drive(), cfg, opts);
   EXPECT_EQ(arena_grows(), grows_before)
       << "steady-state streaming interrogation grew a scratch arena";
-  // Same shape as the batch interrogate budget (two retained profiles
-  // plus detection output per frame) with a small incremental-DBSCAN
-  // surcharge (grid-cell vectors as new eps-cells come alive).
-  EXPECT_LE(gauge("stream_run.frame_loop.allocs_per_frame"), 80.0);
+  EXPECT_LE(gauge("interrogate.frame_loop.allocs_per_frame"), 80.0);
 }
 
 TEST(ZeroAlloc, BudgetsHoldWithProvenanceProbeArmed) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace rs = ros::scene;
 
 TEST(Trajectory, DurationAndPoses) {
@@ -31,6 +33,7 @@ TEST(Trajectory, FramesAtRate) {
                            .end_x_m = 2.0});
   const auto frames = drive.frames(100.0);
   EXPECT_EQ(frames.size(), 101u);
+  EXPECT_EQ(drive.frame_count(100.0), frames.size());
   EXPECT_NEAR(frames[50].position.x, 1.0, 1e-9);
   EXPECT_NEAR(frames[1].time_s - frames[0].time_s, 0.01, 1e-12);
 }
@@ -53,4 +56,8 @@ TEST(Trajectory, InvalidParamsThrow) {
                std::invalid_argument);
   rs::StraightDrive ok({});
   EXPECT_THROW(ok.frames(0.0), std::invalid_argument);
+  for (const double rate : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW((void)ok.frame_count(rate), std::invalid_argument)
+        << "rate " << rate;
+  }
 }

@@ -1,6 +1,8 @@
-// Bit-identity comparators for the streaming/batch equivalence suites.
-// The contract is exact equality (operator== on doubles, no epsilon):
-// streaming runs the same extracted stage code as batch, so ANY
+// Bit-identity comparators for the engine-vs-reference equivalence
+// suites, plus one-call drivers for an engine with explicit
+// StreamingOptions. The contract is exact equality (operator== on
+// doubles, no epsilon): the engine and the ros::testkit reference run
+// the same public stage functions in the same RNG draw order, so ANY
 // difference is a real divergence, not float noise.
 #pragma once
 
@@ -8,8 +10,31 @@
 #include <vector>
 
 #include "ros/pipeline/interrogator.hpp"
+#include "ros/pipeline/streaming.hpp"
 
 namespace ros::teststream {
+
+/// Decode-mode engine with `opts`, driven by the shared frame driver.
+inline ros::pipeline::DecodeDriveResult run_decode(
+    const ros::scene::Scene& scene, const ros::scene::StraightDrive& drive,
+    const ros::scene::Vec2& tag_position,
+    const ros::pipeline::InterrogatorConfig& config,
+    ros::pipeline::StreamingOptions opts = {}) {
+  ros::pipeline::StreamingInterrogator engine(config, scene, drive,
+                                              tag_position, opts);
+  engine.run_frames();
+  return engine.finalize_decode();
+}
+
+/// Full-mode engine with `opts`, driven by the shared frame driver.
+inline ros::pipeline::InterrogationReport run_full(
+    const ros::scene::Scene& scene, const ros::scene::StraightDrive& drive,
+    const ros::pipeline::InterrogatorConfig& config,
+    ros::pipeline::StreamingOptions opts = {}) {
+  ros::pipeline::StreamingInterrogator engine(config, scene, drive, opts);
+  engine.run_frames();
+  return engine.finalize_report();
+}
 
 inline std::string diff_samples(const std::vector<ros::pipeline::RssSample>& a,
                                 const std::vector<ros::pipeline::RssSample>& b) {
@@ -44,17 +69,17 @@ inline std::string diff_decode(const ros::tag::DecodeResult& a,
   return "";
 }
 
-/// Streaming finalize_decode() vs batch decode_drive(), full contract:
-/// same samples, same decode, same mean RSS, same funnel verdict.
+/// Engine finalize_decode() vs the reference decode, full contract:
+/// same samples, same decode, same mean RSS, same frame count.
 inline std::string diff_decode_drive(
-    const ros::pipeline::DecodeDriveResult& stream,
-    const ros::pipeline::DecodeDriveResult& batch) {
-  std::string err = diff_samples(stream.samples, batch.samples);
+    const ros::pipeline::DecodeDriveResult& engine,
+    const ros::pipeline::DecodeDriveResult& ref) {
+  std::string err = diff_samples(engine.samples, ref.samples);
   if (!err.empty()) return "samples: " + err;
-  err = diff_decode(stream.decode, batch.decode);
+  err = diff_decode(engine.decode, ref.decode);
   if (!err.empty()) return "decode: " + err;
-  if (stream.mean_rss_dbm != batch.mean_rss_dbm) return "mean_rss_dbm differs";
-  if (stream.telemetry.n_frames != batch.telemetry.n_frames) {
+  if (engine.mean_rss_dbm != ref.mean_rss_dbm) return "mean_rss_dbm differs";
+  if (engine.telemetry.n_frames != ref.telemetry.n_frames) {
     return "telemetry.n_frames differs";
   }
   return "";
@@ -74,8 +99,8 @@ inline std::string diff_cluster(const ros::pipeline::Cluster& a,
   return "";
 }
 
-/// Streaming finalize_report() vs batch Interrogator::run(), full
-/// contract: same cloud, clusters, candidates, and decoded tags.
+/// Engine finalize_report() vs the reference report, full contract:
+/// same cloud, clusters, candidates, and decoded tags.
 inline std::string diff_report(const ros::pipeline::InterrogationReport& s,
                                const ros::pipeline::InterrogationReport& b) {
   if (s.n_frames != b.n_frames) return "n_frames differs";

@@ -16,6 +16,7 @@
 #include "ros/obs/probe.hpp"
 #include "ros/pipeline/interrogator.hpp"
 #include "ros/pipeline/provenance.hpp"
+#include "ros/pipeline/streaming.hpp"
 #include "ros/simd/simd.hpp"
 #include "ros/tag/codec.hpp"
 #include "ros/testkit/scenario.hpp"
@@ -336,25 +337,32 @@ struct ScenarioRun {
 
 /// Run one read of `s` with the probe armed in always mode and the
 /// scenario attached as context, returning the decoded bits and the
-/// bundle the pipeline wrote. `full_run` uses Interrogator::run (kind
-/// "interrogate"); otherwise decode_drive at `tag`.
-ScenarioRun run_captured(const ros::testkit::Scenario& s,
-                         bool full_run, ros::scene::Vec2 tag) {
+/// bundle the pipeline wrote. `full_run` reads in full mode (kind
+/// "interrogate"); otherwise in decode mode at `tag` (kind
+/// "decode_drive"). Default `opts` make these exactly
+/// Interrogator::run and decode_drive.
+ScenarioRun run_captured(const ros::testkit::Scenario& s, bool full_run,
+                         ros::scene::Vec2 tag,
+                         ros::pipeline::StreamingOptions opts = {}) {
   const auto stackup = ros::em::StriplineStackup::ros_default();
   const auto scene = s.make_scene(&stackup);
+  const auto drive = s.make_drive();
+  const auto config = s.make_config();
   const std::uint64_t before = probe::bundles_written();
   probe::set_mode(probe::Mode::always);
   probe::set_sample_period(1);
   probe::set_context(s.encode(), s.bit_vector());
   ScenarioRun out;
   if (full_run) {
-    const ros::pipeline::Interrogator inter(s.make_config());
-    const auto report = inter.run(scene, s.make_drive());
+    ros::pipeline::StreamingInterrogator engine(config, scene, drive, opts);
+    engine.run_frames();
+    const auto report = engine.finalize_report();
     if (!report.tags.empty()) out.bits = report.tags.front().decode.bits;
   } else {
-    const auto result = ros::pipeline::decode_drive(
-        scene, s.make_drive(), tag, s.make_config());
-    out.bits = result.decode.bits;
+    ros::pipeline::StreamingInterrogator engine(config, scene, drive, tag,
+                                                opts);
+    engine.run_frames();
+    out.bits = engine.finalize_decode().decode.bits;
   }
   if (probe::bundles_written() == before) {
     throw std::runtime_error(
@@ -651,9 +659,19 @@ ReplayResult replay(const Bundle& bundle, std::size_t threads,
     tag.y = y->number_or(0.0);
   }
 
+  // Engine options the read ran under (absent from bundles that predate
+  // them: the entry-point defaults).
+  ros::pipeline::StreamingOptions opts;
+  if (const JsonValue* w = bundle.doc.at("annotations", "window_frames")) {
+    opts.window_frames = static_cast<std::size_t>(w->number_or(0.0));
+  }
+  if (const JsonValue* e = bundle.doc.at("annotations", "early_emit")) {
+    opts.early_emit = e->number_or(0.0) != 0.0;
+  }
+
   ScenarioRun run;
   try {
-    run = run_captured(s, bundle.kind() == "interrogate", tag);
+    run = run_captured(s, bundle.kind() == "interrogate", tag, opts);
   } catch (const std::exception& e) {
     r.detail = std::string("replay run failed: ") + e.what();
     return r;

@@ -62,7 +62,10 @@ struct ReplayResult {
   std::string bundle_path;  ///< fresh bundle captured during the replay
 };
 
-/// Re-run the read. `threads` > 0 pins the ros::exec pool width for the
+/// Re-run the read in the bundle's mode (kind "interrogate" = full
+/// mode, otherwise decode mode at the annotated tag position) with the
+/// engine options it ran under (the `window_frames` / `early_emit`
+/// annotations). `threads` > 0 pins the ros::exec pool width for the
 /// replay (restored afterwards); 0 keeps the current pool.
 /// `simd_backend` non-empty forces that ros::simd backend (restored
 /// afterwards); unknown/uncompiled backends fail with ran = false.
