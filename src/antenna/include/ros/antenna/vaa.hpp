@@ -76,9 +76,6 @@ class VanAttaArray {
   /// Monostatic RCS in dBsm.
   double rcs_dbsm(double az_rad, double hz) const;
 
-  /// RCS per antenna pair in dBsm (the Fig. 3 metric).
-  double rcs_per_pair_dbsm(double az_rad, double hz) const;
-
   int n_pairs() const { return params_.n_pairs; }
   int n_elements() const { return 2 * params_.n_pairs; }
   double spacing() const { return spacing_m_; }

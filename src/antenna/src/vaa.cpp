@@ -150,10 +150,4 @@ double VanAttaArray::rcs_dbsm(double az_rad, double hz) const {
   return rcs_dbsm_from_scattering_length(scattering_length(az_rad, hz));
 }
 
-double VanAttaArray::rcs_per_pair_dbsm(double az_rad, double hz) const {
-  const double sigma =
-      rcs_from_scattering_length(scattering_length(az_rad, hz));
-  return linear_to_db(sigma / static_cast<double>(params_.n_pairs));
-}
-
 }  // namespace ros::antenna

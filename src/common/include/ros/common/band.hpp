@@ -6,14 +6,13 @@
 namespace ros::common {
 
 /// A contiguous frequency band [low, high] with helpers for the values the
-/// paper derives from it (center frequency, bandwidth, center wavelength).
+/// paper derives from it (center frequency, bandwidth).
 struct Band {
   double low_hz = 0.0;
   double high_hz = 0.0;
 
   constexpr double bandwidth() const { return high_hz - low_hz; }
   constexpr double center() const { return 0.5 * (low_hz + high_hz); }
-  double center_wavelength() const { return wavelength(center()); }
   constexpr bool contains(double hz) const {
     return hz >= low_hz && hz <= high_hz;
   }

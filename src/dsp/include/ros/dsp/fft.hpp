@@ -39,9 +39,6 @@ std::vector<cplx> ifft(std::span<const cplx> x);
 void fft_pow2_inplace(std::span<cplx> x, bool inverse = false);
 void fft_pow2_inplace(std::vector<cplx>& x, bool inverse = false);
 
-/// Rotate the spectrum so bin 0 (DC) sits at the center.
-std::vector<cplx> fftshift(std::span<const cplx> x);
-
 /// Element-wise |X[k]|.
 std::vector<double> magnitude(std::span<const cplx> x);
 

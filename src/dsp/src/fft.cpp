@@ -197,16 +197,6 @@ std::vector<cplx> ifft(std::span<const cplx> x) {
   return bluestein(x, /*inverse=*/true);
 }
 
-std::vector<cplx> fftshift(std::span<const cplx> x) {
-  const std::size_t n = x.size();
-  std::vector<cplx> out(n);
-  const std::size_t half = (n + 1) / 2;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = x[(i + half) % n];
-  }
-  return out;
-}
-
 std::vector<double> magnitude(std::span<const cplx> x) {
   std::vector<double> out(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::abs(x[i]);

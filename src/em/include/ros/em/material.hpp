@@ -46,9 +46,6 @@ class StriplineStackup {
   /// independent.
   double effective_permittivity() const { return eps_eff_; }
 
-  /// Effective loss tangent (thickness-weighted).
-  double effective_tan_delta() const { return tan_delta_eff_; }
-
   /// Guided wavelength at `hz` [m].
   double guided_wavelength(double hz) const;
 

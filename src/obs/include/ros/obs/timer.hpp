@@ -42,8 +42,4 @@ class ScopedTimer {
   bool stopped_ = false;
 };
 
-/// Convenience: time into the global registry's histogram `<name>.ms`.
-ScopedTimer make_registry_timer(std::string name,
-                                std::string category = "pipeline");
-
 }  // namespace ros::obs

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "ros/obs/bench.hpp"
 #include "ros/obs/export.hpp"
@@ -186,11 +187,16 @@ void Watchdog::arm(std::string_view name, double deadline_ms,
                      std::memory_order_relaxed);
   slot.frame.store(frame, std::memory_order_relaxed);
   slot.flagged.store(false, std::memory_order_relaxed);
-  const auto deadline_us = static_cast<std::int64_t>(
-      (monotonic_s() + deadline_ms / 1000.0) * 1e6);
+  // A deadline beyond the int64 range (inf, 1e300) or NaN keeps the
+  // slot armed but never fires; casting it would be undefined (x86-64
+  // wraps it to INT64_MIN, an instantly expired deadline).
+  const double us = (monotonic_s() + deadline_ms / 1000.0) * 1e6;
+  std::int64_t deadline_us = std::numeric_limits<std::int64_t>::max();
+  if (us < 0x1p63) {  // 2^63: the first double past INT64_MAX
+    deadline_us = us >= 1.0 ? static_cast<std::int64_t>(us) : 1;
+  }
   // Release so the poller sees name/frame once the deadline is live.
-  slot.deadline_us.store(std::max<std::int64_t>(deadline_us, 1),
-                         std::memory_order_release);
+  slot.deadline_us.store(deadline_us, std::memory_order_release);
 }
 
 void Watchdog::disarm() {

@@ -1,6 +1,7 @@
 #include "ros/obs/export.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -50,7 +51,10 @@ bool replace_file(const std::string& path, const std::string& body) {
 
 SnapshotExporter::SnapshotExporter(Options options)
     : options_(std::move(options)) {
-  if (options_.interval_s <= 0.0) options_.interval_s = 1.0;
+  // NaN/inf would reach wait_for() and overflow its clock conversion.
+  if (!(std::isfinite(options_.interval_s) && options_.interval_s > 0.0)) {
+    options_.interval_s = 1.0;
+  }
   if (options_.ring_capacity < 2) options_.ring_capacity = 2;
 }
 

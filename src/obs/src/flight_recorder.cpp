@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,7 +40,10 @@ std::size_t env_size(const char* name, std::size_t fallback,
 bool write_all(int fd, const char* data, std::size_t n) noexcept {
   while (n > 0) {
     const ssize_t w = ::write(fd, data, n);
-    if (w < 0) return false;
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
     data += w;
     n -= static_cast<std::size_t>(w);
   }

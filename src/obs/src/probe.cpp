@@ -3,11 +3,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "ros/obs/bench.hpp"
@@ -32,10 +34,11 @@ int env_mode() {
   if (const char* s = std::getenv("ROS_OBS_PROBE_SAMPLE");
       s != nullptr && *s != '\0') {
     char* end = nullptr;
-    const long n = std::strtol(s, &end, 10);
+    const long long n = std::strtoll(s, &end, 10);
     if (end != s && n > 0) {
-      g_sample_period.store(static_cast<std::uint32_t>(n),
-                            std::memory_order_relaxed);
+      // Clamp, don't truncate: 2^32 must not wrap to "every read".
+      set_sample_period(static_cast<std::uint32_t>(std::min<long long>(
+          n, std::numeric_limits<std::uint32_t>::max())));
     }
   }
   return static_cast<int>(m);

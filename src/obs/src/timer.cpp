@@ -34,9 +34,4 @@ double ScopedTimer::elapsed_ms() const {
          1000.0;
 }
 
-ScopedTimer make_registry_timer(std::string name, std::string category) {
-  Histogram& h = MetricsRegistry::global().histogram(name + ".ms");
-  return ScopedTimer(std::move(name), std::move(category), &h);
-}
-
 }  // namespace ros::obs

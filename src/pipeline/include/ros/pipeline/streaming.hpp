@@ -130,12 +130,10 @@ class StreamingInterrogator {
               const ros::scene::Vec2& tag_position,
               StreamingOptions opts = {});
 
-  bool decode_mode() const { return decode_mode_; }
   const StreamingOptions& options() const { return opts_; }
   const InterrogatorConfig& config() const { return config_; }
   /// Frames the drive yields at the configured rate — the stream length.
   std::size_t n_frames() const { return n_frames_; }
-  std::size_t frames_consumed() const { return consumed_; }
 
   /// Heavy per-frame stage. Stateless and const: callable concurrently
   /// from any thread, in any order.

@@ -45,7 +45,6 @@ class Scene {
                      std::string name = "ros_tag");
 
   Weather weather() const { return weather_; }
-  void set_weather(Weather w) { weather_ = w; }
 
   const GroundBounce& ground() const { return ground_; }
   void set_ground(GroundBounce g) { ground_ = g; }

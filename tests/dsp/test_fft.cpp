@@ -114,15 +114,6 @@ TEST(Fft, BluesteinMatchesDirectDft) {
   }
 }
 
-TEST(Fft, FftShiftCentersDc) {
-  std::vector<cplx> x = {{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}, {3.0, 0.0}};
-  const auto y = rd::fftshift(x);
-  EXPECT_DOUBLE_EQ(y[0].real(), 2.0);
-  EXPECT_DOUBLE_EQ(y[1].real(), 3.0);
-  EXPECT_DOUBLE_EQ(y[2].real(), 0.0);
-  EXPECT_DOUBLE_EQ(y[3].real(), 1.0);
-}
-
 TEST(Fft, MagnitudeAndPower) {
   const std::vector<cplx> x = {{3.0, 4.0}};
   EXPECT_DOUBLE_EQ(rd::magnitude(x)[0], 5.0);

@@ -9,12 +9,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "ros/obs/crash.hpp"
 #include "ros/obs/flight_recorder.hpp"
 #include "ros/obs/json_parse.hpp"
 #include "ros/obs/metrics.hpp"
+#include "ros/obs/probe.hpp"
 #include "ros/obs/window.hpp"
 
 namespace ro = ros::obs;
@@ -166,6 +168,27 @@ TEST(CrashHandlerDeathTest, SegfaultLeavesCompleteBundle) {
   fs::remove_all(root);
 }
 
+// ROS_OBS_PROBE_SAMPLE is read once per process, so the check runs in
+// a re-executed child that sees only the test's environment. A period
+// past UINT32_MAX clamps to UINT32_MAX: of three reads only the first
+// is captured (truncating 2^32 to 0 would capture every read).
+TEST(ProbeEnvDeathTest, SamplePeriodAboveUint32MaxIsClamped) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("ROS_OBS_PROBE", "always", 1);
+  ::setenv("ROS_OBS_PROBE_SAMPLE", "4294967296", 1);
+  EXPECT_EXIT(
+      {
+        int captured = 0;
+        for (int i = 0; i < 3; ++i) {
+          captured += ro::probe::begin_read("probeenvtest", 1, 2) ? 1 : 0;
+        }
+        std::_Exit(captured);
+      },
+      ::testing::ExitedWithCode(1), "");
+  ::unsetenv("ROS_OBS_PROBE");
+  ::unsetenv("ROS_OBS_PROBE_SAMPLE");
+}
+
 TEST(Watchdog, FlagsExpiredFrameOnce) {
   auto& wd = ro::Watchdog::global();
   auto& reg = ro::MetricsRegistry::global();
@@ -209,6 +232,16 @@ TEST(Watchdog, GuardWithNonPositiveDeadlineIsNoop) {
     EXPECT_EQ(wd.poll_now_at(ro::monotonic_s() + 60.0), 0u);
   }
   EXPECT_EQ(wd.poll_now_at(ro::monotonic_s() + 120.0), 0u);
+}
+
+TEST(Watchdog, HugeOrInfiniteDeadlineNeverFires) {
+  auto& wd = ro::Watchdog::global();
+  for (const double deadline_ms :
+       {std::numeric_limits<double>::infinity(), 1e300}) {
+    const ro::Watchdog::Guard g("watchdogtest.never", deadline_ms, 5);
+    EXPECT_EQ(wd.poll_now_at(ro::monotonic_s() + 3600.0), 0u)
+        << "deadline_ms=" << deadline_ms;
+  }
 }
 
 TEST(Watchdog, PollerThreadStartsAndStops) {

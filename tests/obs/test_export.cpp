@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -137,6 +138,16 @@ TEST(SnapshotExporter, BackgroundThreadStartsAndStopsCleanly) {
   exporter.stop();  // idempotent
   // The shutdown path runs one final tick.
   EXPECT_GE(exporter.ticks(), 1u);
+}
+
+TEST(SnapshotExporter, NonFiniteIntervalFallsBackToOneSecond) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    ro::SnapshotExporter::Options opt;
+    opt.interval_s = bad;
+    const ro::SnapshotExporter exporter(opt);
+    EXPECT_EQ(exporter.options().interval_s, 1.0) << "interval_s=" << bad;
+  }
 }
 
 TEST(SnapshotExporter, RatesAndWindowedInSnapshotJson) {

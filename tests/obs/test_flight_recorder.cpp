@@ -5,8 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <pthread.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -31,6 +37,22 @@ std::string read_file(const std::string& path) {
   std::fclose(f);
   return out;
 }
+
+/// Number of the syscall thread `tid` of this process is in: -1 when it
+/// is in none (or running), -2 when /proc does not expose it.
+long current_syscall(pid_t tid) {
+  const std::string path =
+      "/proc/self/task/" + std::to_string(tid) + "/syscall";
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) return -2;
+  long nr = -1;
+  if (std::fscanf(f, "%ld", &nr) != 1) nr = -1;  // "running"
+  std::fclose(f);
+  return nr;
+}
+
+std::atomic<int> g_sigusr1_hits{0};
+extern "C" void count_sigusr1(int) { g_sigusr1_hits.fetch_add(1); }
 
 }  // namespace
 
@@ -158,6 +180,81 @@ TEST(FlightRecorder, DumpJsonFdWritesParseableDocument) {
   EXPECT_EQ(doc->at("schema")->string, "ros-flight-v1");
   EXPECT_GT(doc->at("events")->array.size(), 0u);
   std::remove(path.c_str());
+}
+
+// A stall/crash dump interrupted by a signal (no SA_RESTART) must
+// resume, not drop the whole document. The pipe is filled first so the
+// dump's first write(2) blocks; the signal lands while it is blocked.
+TEST(FlightRecorder, DumpJsonFdResumesAfterEintr) {
+  auto& fr = ro::FlightRecorder::global();
+  fr.record(ro::FlightKind::mark, fr.intern("flighttest.eintr"), 6);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::fcntl(fds[1], F_SETFL, O_NONBLOCK), 0);
+  std::size_t filled = 0;
+  for (const std::size_t chunk : {std::size_t{4096}, std::size_t{1}}) {
+    const std::string filler(chunk, 'x');
+    ssize_t w = 0;
+    while ((w = ::write(fds[1], filler.data(), chunk)) > 0) {
+      filled += static_cast<std::size_t>(w);
+    }
+    ASSERT_EQ(errno, EAGAIN);
+  }
+  ASSERT_EQ(::fcntl(fds[1], F_SETFL, 0), 0);
+
+  struct sigaction sa {};
+  struct sigaction old {};
+  sa.sa_handler = count_sigusr1;
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = 0;  // no SA_RESTART: the blocked write fails with EINTR
+  ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old), 0);
+  g_sigusr1_hits.store(0);
+
+  std::atomic<pid_t> tid{0};
+  int rc = 1;
+  std::thread dumper([&] {
+    tid.store(static_cast<pid_t>(::syscall(SYS_gettid)));
+    rc = fr.dump_json_fd(fds[1]);
+  });
+  // Interrupt exactly once, while the dumper sits in write(2); keep the
+  // pipe full until the handler has run so the write cannot complete.
+  using namespace std::chrono_literals;
+  long nr = -1;
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (nr != SYS_write && nr != -2 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+    if (const pid_t t = tid.load(); t != 0) nr = current_syscall(t);
+  }
+  const bool blocked = nr == SYS_write;
+  if (blocked) {
+    ASSERT_EQ(::pthread_kill(dumper.native_handle(), SIGUSR1), 0);
+    while (g_sigusr1_hits.load() == 0) std::this_thread::sleep_for(1ms);
+  }
+
+  std::string drained;
+  std::thread reader([&] {
+    char buf[4096];
+    ssize_t r = 0;
+    while ((r = ::read(fds[0], buf, sizeof(buf))) != 0) {
+      if (r > 0) drained.append(buf, static_cast<std::size_t>(r));
+      else if (errno != EINTR) break;
+    }
+  });
+  dumper.join();
+  ::close(fds[1]);
+  reader.join();
+  ::close(fds[0]);
+  ::sigaction(SIGUSR1, &old, nullptr);
+  if (!blocked) GTEST_SKIP() << "/proc/self/task/<tid>/syscall unavailable";
+
+  EXPECT_EQ(g_sigusr1_hits.load(), 1);
+  EXPECT_EQ(rc, 0);
+  ASSERT_GE(drained.size(), filled);
+  std::string err;
+  const auto doc = ro::json_parse(drained.substr(filled), &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  EXPECT_EQ(doc->at("schema")->string, "ros-flight-v1");
 }
 
 TEST(FlightRecorder, RecordIsAllocationFreeAfterWarmup) {
