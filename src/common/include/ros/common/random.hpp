@@ -2,11 +2,17 @@
 //
 // Every stochastic component in the library (noise front ends, clutter
 // fluctuation, DE-GA) takes an explicit seed so experiments reproduce
-// bit-for-bit; this wrapper keeps the distribution plumbing in one place.
+// bit-for-bit. The generator is defined here, not borrowed from the
+// standard library: the engine is mt19937_64 exactly as [rand.eng.mers]
+// specifies it, and each distribution is a fixed algorithm (see
+// random.cpp and DESIGN.md §7), so a seed names the same draws on every
+// toolchain.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <random>
+#include <span>
 
 #include "ros/common/units.hpp"
 
@@ -29,7 +35,7 @@ std::uint64_t derive_stream_seed(std::uint64_t seed, std::uint64_t stream);
 /// one per derive_stream_seed stream inside a parallel_for body).
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(seed) {}
+  explicit Rng(std::uint64_t seed);
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -44,14 +50,30 @@ class Rng {
   /// E[|x|^2] = `power` (i.e. each quadrature has variance power/2).
   cplx complex_gaussian(double power);
 
+  /// Add complex_gaussian(power) to every sample of `out`, in order.
+  /// Same draws and same engine state afterwards as the per-sample
+  /// loop, without its per-call overhead.
+  void add_complex_gaussian(std::span<cplx> out, double power);
+
   /// Bernoulli draw with probability `p` of true.
   bool bernoulli(double p);
 
-  /// Access the underlying engine (e.g. for std::shuffle).
-  std::mt19937_64& engine() { return engine_; }
+  /// Next raw 64-bit engine output.
+  std::uint64_t next_u64() {
+    if (next_ == kStateWords) refill();
+    return out_[next_++];
+  }
 
  private:
-  std::mt19937_64 engine_;
+  static constexpr std::size_t kStateWords = 312;
+
+  void refill();
+  double canonical();
+  double polar_normal();
+
+  std::array<std::uint64_t, kStateWords> state_;
+  std::array<std::uint64_t, kStateWords> out_;  // tempered current batch
+  std::size_t next_ = kStateWords;
 };
 
 }  // namespace ros::common

@@ -129,14 +129,17 @@ PoolStats ThreadPool::stats() const {
 }
 
 void ThreadPool::run_chunks(Job& job, bool is_worker) {
+  // A worker can arrive after the last chunk was retired and the caller
+  // released: with nothing claimed it must touch nothing outside `job`.
+  std::size_t start = job.next.fetch_add(job.chunk, std::memory_order_relaxed);
+  if (start >= job.end) return;
   auto& reg = ros::obs::MetricsRegistry::global();
+  auto& chunk_ms = reg.histogram("exec.chunk.ms");
+  auto& chunks =
+      reg.counter(is_worker ? "exec.chunks.worker" : "exec.chunks.caller");
   ++t_task_depth;
   busy_.fetch_add(1, std::memory_order_relaxed);
-  std::size_t executed = 0;
   for (;;) {
-    const std::size_t start =
-        job.next.fetch_add(job.chunk, std::memory_order_relaxed);
-    if (start >= job.end) break;
     const std::size_t stop = std::min(start + job.chunk, job.end);
     const double t0 = now_ms();
     if (!job.failed.load(std::memory_order_acquire)) {
@@ -148,18 +151,23 @@ void ThreadPool::run_chunks(Job& job, bool is_worker) {
         if (!job.error) job.error = std::current_exception();
       }
     }
-    reg.histogram("exec.chunk.ms").observe(now_ms() - t0);
-    ++executed;
+    chunk_ms.observe(now_ms() - t0);
+    chunks.inc();
+    // Claim the next chunk before retiring this one. The retirement
+    // that drops `pending` to zero releases the caller, which may then
+    // return from main and tear down the metrics registry and the
+    // pool's counters, so every booking happens before it.
+    start = job.next.fetch_add(job.chunk, std::memory_order_relaxed);
+    const bool last = start >= job.end;
+    if (last) {
+      busy_.fetch_sub(1, std::memory_order_relaxed);
+      --t_task_depth;
+    }
     {
       std::lock_guard<std::mutex> lock(job.mu);
       if (--job.pending == 0) job.done_cv.notify_all();
     }
-  }
-  busy_.fetch_sub(1, std::memory_order_relaxed);
-  --t_task_depth;
-  if (executed > 0) {
-    reg.counter(is_worker ? "exec.chunks.worker" : "exec.chunks.caller")
-        .inc(executed);
+    if (last) return;
   }
 }
 

@@ -114,6 +114,22 @@ class StreamingInterrogator {
                         const ros::scene::StraightDrive& drive,
                         StreamingOptions opts = {});
 
+  // The engine keeps pointers to `scene` and `drive`, so a temporary
+  // for either would dangle: refuse it at compile time.
+  StreamingInterrogator(const InterrogatorConfig&, ros::scene::Scene&&,
+                        const ros::scene::StraightDrive&,
+                        const ros::scene::Vec2&,
+                        StreamingOptions = {}) = delete;
+  StreamingInterrogator(const InterrogatorConfig&, const ros::scene::Scene&,
+                        ros::scene::StraightDrive&&, const ros::scene::Vec2&,
+                        StreamingOptions = {}) = delete;
+  StreamingInterrogator(const InterrogatorConfig&, ros::scene::Scene&&,
+                        const ros::scene::StraightDrive&,
+                        StreamingOptions = {}) = delete;
+  StreamingInterrogator(const InterrogatorConfig&, const ros::scene::Scene&,
+                        ros::scene::StraightDrive&&,
+                        StreamingOptions = {}) = delete;
+
   ~StreamingInterrogator();
   StreamingInterrogator(const StreamingInterrogator&) = delete;
   StreamingInterrogator& operator=(const StreamingInterrogator&) = delete;
@@ -129,6 +145,12 @@ class StreamingInterrogator {
               const ros::scene::StraightDrive& drive,
               const ros::scene::Vec2& tag_position,
               StreamingOptions opts = {});
+  void rebind(const InterrogatorConfig&, ros::scene::Scene&&,
+              const ros::scene::StraightDrive&, const ros::scene::Vec2&,
+              StreamingOptions = {}) = delete;
+  void rebind(const InterrogatorConfig&, const ros::scene::Scene&,
+              ros::scene::StraightDrive&&, const ros::scene::Vec2&,
+              StreamingOptions = {}) = delete;
 
   const StreamingOptions& options() const { return opts_; }
   const InterrogatorConfig& config() const { return config_; }

@@ -60,11 +60,7 @@ void WaveformSynthesizer::synthesize_into(
   }
 
   if (noise_power_w > 0.0) {
-    for (std::size_t k = 0; k < n_rx; ++k) {
-      for (std::size_t i = 0; i < n_s; ++i) {
-        frame[k][i] += rng.complex_gaussian(noise_power_w);
-      }
-    }
+    for (auto& chan : frame) rng.add_complex_gaussian(chan, noise_power_w);
   }
 }
 

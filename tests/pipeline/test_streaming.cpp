@@ -15,6 +15,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "../support/stream_equality.hpp"
@@ -46,11 +48,14 @@ const ros::em::StriplineStackup& stackup() {
   return s;
 }
 
-rs::StraightDrive default_drive() {
-  return rs::StraightDrive({.lane_offset_m = 3.0,
-                            .speed_mps = 2.0,
-                            .start_x_m = -2.5,
-                            .end_x_m = 2.5});
+// An lvalue with static lifetime: StreamingInterrogator keeps a pointer
+// to its drive, so engines built from it may outlive any one statement.
+const rs::StraightDrive& default_drive() {
+  static const rs::StraightDrive drive({.lane_offset_m = 3.0,
+                                        .speed_mps = 2.0,
+                                        .start_x_m = -2.5,
+                                        .end_x_m = 2.5});
+  return drive;
 }
 
 rp::InterrogatorConfig fast_config() {
@@ -191,6 +196,37 @@ TEST(Streaming, SharedDriverMatchesReferenceAtOneAndFourThreads) {
                           ref_full),
               "");
   }
+}
+
+template <typename Scene, typename Drive>
+concept CanRebindWith = requires(rp::StreamingInterrogator& engine,
+                                 const rp::InterrogatorConfig& cfg,
+                                 Scene&& scene, Drive&& drive) {
+  engine.rebind(cfg, std::forward<Scene>(scene), std::forward<Drive>(drive),
+                rs::Vec2{});
+};
+
+TEST(Streaming, TemporarySceneOrDriveIsACompileError) {
+  // The engine points at its scene and drive; binding either to a
+  // temporary would leave it reading a dead object.
+  using Engine = rp::StreamingInterrogator;
+  using Cfg = const rp::InterrogatorConfig&;
+  static_assert(std::is_constructible_v<Engine, Cfg, const rs::Scene&,
+                                        const rs::StraightDrive&, rs::Vec2>);
+  static_assert(!std::is_constructible_v<Engine, Cfg, const rs::Scene&,
+                                         rs::StraightDrive&&, rs::Vec2>);
+  static_assert(!std::is_constructible_v<Engine, Cfg, rs::Scene&&,
+                                         const rs::StraightDrive&, rs::Vec2>);
+  static_assert(std::is_constructible_v<Engine, Cfg, const rs::Scene&,
+                                        const rs::StraightDrive&>);
+  static_assert(!std::is_constructible_v<Engine, Cfg, const rs::Scene&,
+                                         rs::StraightDrive&&>);
+  static_assert(!std::is_constructible_v<Engine, Cfg, rs::Scene&&,
+                                         const rs::StraightDrive&>);
+  static_assert(CanRebindWith<const rs::Scene&, const rs::StraightDrive&>);
+  static_assert(!CanRebindWith<const rs::Scene&, rs::StraightDrive>);
+  static_assert(!CanRebindWith<rs::Scene, const rs::StraightDrive&>);
+  SUCCEED();
 }
 
 TEST(Streaming, ConsumeEnforcesFrameOrder) {
