@@ -1,12 +1,14 @@
 // Per-kernel SIMD speedup benchmark: times every ros::simd op on the
 // scalar reference backend and on the best backend this host supports,
-// reporting ns/element and the speedup ratio, plus the grid-indexed
-// DBSCAN against the all-pairs reference across point counts (the grid
-// win must grow with n -- O(n) expected vs O(n^2)).
+// reporting ns/element and the speedup ratio, then the AWGN kernel on
+// every available backend, plus the grid-indexed DBSCAN against the
+// all-pairs reference across point counts (the grid win must grow with
+// n -- O(n) expected vs O(n^2)).
 //
 // Timing is machine-dependent, so the fidelity scorecard records only
 // deterministic correctness invariants (vector == scalar within the
-// documented tolerance, grid partition == reference partition); the
+// documented tolerance, awgn_acc bit-identical on every backend, grid
+// partition == reference partition); the
 // speedups land in the CSV and in bench/baseline.json's history. Both
 // backends are pinned explicitly through backend_ops(), so the numbers
 // -- and the scorecard -- are identical whatever ROS_SIMD says.
@@ -14,6 +16,8 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 
 #include "ros/common/random.hpp"
@@ -159,6 +163,32 @@ ROS_BENCH(perf_kernels) {
   }
   bench::print(ctx, table);
 
+  // AWGN: one lane per backend. The kernel is specified bit for bit, so
+  // every backend must add exactly the scalar reference's bits.
+  common::CsvTable atable(
+      "perf: awgn_acc per backend (ns per complex draw, n=4096)",
+      {"backend", "ns_per_draw", "bit_identical"});
+  std::vector<cplx> awgn_ref(n, cplx{0.0, 0.0});
+  scalar.awgn_acc(awgn_ref.data(), 0.5, 0xA5, 3, n);
+  bool awgn_identical = true;
+  for (rs::Backend b : rs::available_backends()) {
+    const rs::Ops& o = rs::backend_ops(b);
+    std::vector<cplx> v(n, cplx{0.0, 0.0});
+    o.awgn_acc(v.data(), 0.5, 0xA5, 3, n);
+    const bool same =
+        std::memcmp(v.data(), awgn_ref.data(), n * sizeof(cplx)) == 0;
+    awgn_identical = awgn_identical && same;
+    const double t = time_ns(reps, [&] {
+      for (int i = 0; i < inner; ++i) {
+        o.awgn_acc(v.data(), 1e-6, static_cast<std::uint64_t>(i), 0, n);
+      }
+      bench::do_not_optimize(v[0]);
+    });
+    atable.add_row(o.name, {t / (static_cast<double>(n) * inner),
+                            same ? 1.0 : 0.0});
+  }
+  bench::print(ctx, atable);
+
   // DBSCAN: grid index vs the retained all-pairs reference. The ratio
   // must grow with n; correctness (identical partition on the same
   // cloud) is the deterministic fidelity check.
@@ -193,9 +223,10 @@ ROS_BENCH(perf_kernels) {
   }
   bench::print(ctx, dtable);
 
-  ctx.fidelity("simd_kernels_match_scalar", worst_err <= 1e-12 ? 1.0 : 0.0,
-               1.0, 1.0,
-               "vector backends within documented tolerance of scalar");
+  ctx.fidelity("simd_kernels_match_scalar",
+               worst_err <= 1e-12 && awgn_identical ? 1.0 : 0.0, 1.0, 1.0,
+               "vector backends within documented tolerance of scalar; "
+               "awgn_acc bit-identical on every backend");
   ctx.fidelity("dbscan_grid_matches_reference",
                partitions_match ? 1.0 : 0.0, 1.0, 1.0,
                "grid index reproduces the all-pairs clustering");

@@ -12,9 +12,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <span>
-
-#include "ros/common/units.hpp"
 
 namespace ros::common {
 
@@ -45,15 +42,6 @@ class Rng {
 
   /// Standard normal scaled: N(mean, stddev^2).
   double normal(double mean = 0.0, double stddev = 1.0);
-
-  /// Circularly symmetric complex Gaussian with total power
-  /// E[|x|^2] = `power` (i.e. each quadrature has variance power/2).
-  cplx complex_gaussian(double power);
-
-  /// Add complex_gaussian(power) to every sample of `out`, in order.
-  /// Same draws and same engine state afterwards as the per-sample
-  /// loop, without its per-call overhead.
-  void add_complex_gaussian(std::span<cplx> out, double power);
 
   /// Bernoulli draw with probability `p` of true.
   bool bernoulli(double p);

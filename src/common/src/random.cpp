@@ -11,7 +11,9 @@
 //   normal     Marsaglia-Bray polar method, returning y * mult from each
 //              accepted pair (the x * mult spare is never used).
 // Built with -ffp-contract=off: a fused x*x + y*y would change the
-// accept/reject decision and the draws with it.
+// accept/reject decision and the draws with it. Thermal noise (AWGN) is
+// not drawn here: it is the counter-addressed ros::simd::Ops::awgn_acc
+// kernel, keyed by one next_u64() word per frame.
 
 #include "ros/common/random.hpp"
 
@@ -50,23 +52,6 @@ double to_canonical(std::uint64_t x) {
                    static_cast<double>(static_cast<std::uint32_t>(x));
   return std::min(v * 0x1p-64, kBelowOne);
 }
-
-// One polar-method candidate from two engine words: x, y uniform in
-// [-1, 1), kept when 0 < r2 = x² + y² <= 1.
-struct PolarPair {
-  double y;
-  double r2;
-};
-
-PolarPair polar_pair(std::uint64_t wx, std::uint64_t wy) {
-  const double x = 2.0 * to_canonical(wx) - 1.0;
-  const double y = 2.0 * to_canonical(wy) - 1.0;
-  return {y, x * x + y * y};
-}
-
-bool accepted(double r2) { return (r2 <= 1.0) & (r2 != 0.0); }
-
-double polar_mult(double r2) { return std::sqrt(-2.0 * std::log(r2) / r2); }
 
 }  // namespace
 
@@ -109,9 +94,12 @@ double Rng::canonical() { return to_canonical(next_u64()); }
 
 double Rng::polar_normal() {
   for (;;) {
-    const std::uint64_t wx = next_u64();
-    const PolarPair p = polar_pair(wx, next_u64());
-    if (accepted(p.r2)) return p.y * polar_mult(p.r2);
+    const double x = 2.0 * canonical() - 1.0;
+    const double y = 2.0 * canonical() - 1.0;
+    const double r2 = x * x + y * y;
+    if (r2 <= 1.0 && r2 != 0.0) {
+      return y * std::sqrt(-2.0 * std::log(r2) / r2);
+    }
   }
 }
 
@@ -142,57 +130,6 @@ int Rng::uniform_int(int lo, int hi) {
 double Rng::normal(double mean, double stddev) {
   ROS_EXPECT(stddev >= 0.0, "stddev must be non-negative");
   return polar_normal() * stddev + mean;
-}
-
-cplx Rng::complex_gaussian(double power) {
-  ROS_EXPECT(power >= 0.0, "noise power must be non-negative");
-  const double sigma = std::sqrt(power / 2.0);
-  // `+ 0.0` is the zero mean: it turns a -0.0 draw into +0.0.
-  const double re = polar_normal() * sigma + 0.0;
-  const double im = polar_normal() * sigma + 0.0;
-  return {re, im};
-}
-
-void Rng::add_complex_gaussian(std::span<cplx> out, double power) {
-  ROS_EXPECT(power >= 0.0, "noise power must be non-negative");
-  const double sigma = std::sqrt(power / 2.0);
-  // std::complex<double> is layout-compatible with double[2], so the
-  // span is 2n quadratures, re before im, each one polar_normal draw.
-  double* dst = reinterpret_cast<double*>(out.data());
-  std::size_t left = 2 * out.size();
-  constexpr std::size_t kBlock = 128;
-  double ys[kBlock] = {};
-  double r2s[kBlock] = {};
-  while (left > 0) {
-    const std::size_t want = std::min(left, kBlock);
-    // Pass 1: collect the accepted (y, r2) pairs in order; the
-    // rejection test is branch-free.
-    std::size_t got = 0;
-    const auto offer = [&](std::uint64_t wx, std::uint64_t wy) {
-      const PolarPair p = polar_pair(wx, wy);
-      ys[got] = p.y;
-      r2s[got] = p.r2;
-      got += static_cast<std::size_t>(accepted(p.r2));
-    };
-    while (got < want) {
-      if (next_ + 2 > kStateWords) {  // the pair straddles a refill
-        const std::uint64_t wx = next_u64();
-        offer(wx, next_u64());
-        continue;
-      }
-      std::size_t i = next_;
-      for (; got < want && i + 2 <= kStateWords; i += 2) {
-        offer(out_[i], out_[i + 1]);
-      }
-      next_ = i;
-    }
-    // Pass 2: independent log/sqrt per draw, free to overlap.
-    for (std::size_t j = 0; j < want; ++j) {
-      dst[j] += ys[j] * polar_mult(r2s[j]) * sigma + 0.0;
-    }
-    dst += want;
-    left -= want;
-  }
 }
 
 bool Rng::bernoulli(double p) {

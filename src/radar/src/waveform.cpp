@@ -1,6 +1,7 @@
 #include "ros/radar/waveform.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "ros/common/expect.hpp"
 #include "ros/simd/simd.hpp"
@@ -59,8 +60,15 @@ void WaveformSynthesizer::synthesize_into(
     }
   }
 
+  // Noise draws one key word; sample i of Rx k is counter k·n_s + i of
+  // that key (DESIGN.md §7). Power 0 draws nothing.
   if (noise_power_w > 0.0) {
-    for (auto& chan : frame) rng.add_complex_gaussian(chan, noise_power_w);
+    const std::uint64_t key = rng.next_u64();
+    const double sigma = std::sqrt(noise_power_w / 2.0);
+    const auto& awgn = ros::simd::ops().awgn_acc;
+    for (std::size_t k = 0; k < n_rx; ++k) {
+      awgn(frame[k].data(), sigma, key, k * n_s, n_s);
+    }
   }
 }
 

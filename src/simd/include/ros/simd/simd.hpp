@@ -6,7 +6,8 @@
 // butterfly) behind a single dispatch table. Backends:
 //
 //   scalar  the bit-exact reference: strict index-order loops over libm
-//           (std::sin/std::cos). Always compiled, always available.
+//           (std::sin/std::cos), except awgn_acc, whose one definition
+//           every backend shares. Always compiled, always available.
 //   sse2    2-lane double kernels (x86-64 baseline).
 //   avx2    4-lane double kernels (requires AVX2+FMA at runtime).
 //   neon    2-lane double kernels on AArch64.
@@ -32,6 +33,8 @@
 //         <= kSinCosAbsTol per element (|outputs| <= 1);
 //       - linear_phase, scale, axpby: bit-identical (same two-rounding
 //         formula per element in every backend);
+//       - awgn_acc: bit-identical (one shared per-sample formula with
+//         repo-defined log/sin/cos polynomials, no libm);
 //       - reductions (sum/dot/csum/phase_mac/cexp_sum): vector lanes
 //         re-associate the sum, so |vec - scalar| <=
 //         kReduceRelTol * (n * sum_i |term_i|) + n * kSinCosAbsTol *
@@ -51,6 +54,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -136,6 +140,15 @@ struct Ops {
   /// Radix-2 decimation-in-time butterfly over one contiguous block:
   /// for k < n: u = a[k]; v = b[k]*w[k]; a[k] = u+v; b[k] = u-v.
   void (*fft_butterfly)(cplx* a, cplx* b, const cplx* w, std::size_t n);
+
+  /// acc[i] += sigma * (circularly symmetric unit-variance complex
+  /// normal number counter0 + i of stream `key`): Box–Muller over
+  /// SplitMix64 outputs (DESIGN.md §7, "Noise definition"). Each
+  /// quadrature has variance sigma². A pure function of (key, counter),
+  /// bit-identical across backends, so one call over [0, n) equals any
+  /// split of it into calls at consecutive counters.
+  void (*awgn_acc)(cplx* acc, double sigma, std::uint64_t key,
+                   std::uint64_t counter0, std::size_t n);
 };
 
 /// The active dispatch table (ROS_SIMD / cpuid, resolved once).

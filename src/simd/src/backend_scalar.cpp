@@ -1,9 +1,13 @@
 // Scalar reference backend: strict index-order loops over libm. This
 // is the semantics every vector backend is tested against, so keep the
 // arithmetic here boring and explicit -- one statement per documented
-// formula, no re-association, no FMA-sensitive expressions.
+// formula, no re-association, no FMA-sensitive expressions. awgn_acc
+// is the one exception to "over libm": its single definition lives in
+// awgn.inl, included here one lane wide.
 #include <cmath>
 
+#define ROS_SIMD_LANES 1
+#include "awgn.inl"
 #include "backends.hpp"
 
 namespace ros::simd::detail {
@@ -137,6 +141,7 @@ const Ops& scalar_ops() {
       &s_linear_phase, &s_scale,    &s_axpby,    &s_cexp_madd,
       &s_cmul_acc, &s_phase_mac,    &s_cexp_sum, &s_tone_acc,
       &s_sum,      &s_dot,          &s_csum,     &s_fft_butterfly,
+      &awgn::awgn_acc,
   };
   return table;
 }

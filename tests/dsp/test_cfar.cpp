@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "ros/common/random.hpp"
@@ -52,7 +53,13 @@ TEST(Cfar, GuardCellsProtectWideTargets) {
 TEST(Cfar, FalseAlarmRateLowOnPureNoise) {
   ros::common::Rng rng(5);
   std::vector<double> p(4096);
-  for (auto& v : p) v = std::norm(rng.complex_gaussian(1.0));
+  // |z|^2 of a unit-power complex normal: two quadratures of variance 1/2.
+  const double sigma = std::sqrt(0.5);
+  for (auto& v : p) {
+    const double re = rng.normal(0.0, sigma);
+    const double im = rng.normal(0.0, sigma);
+    v = re * re + im * im;
+  }
   const auto dets = rd::ca_cfar(p, {});
   // 10 dB threshold on exponential noise: P(X > 10 mu) ~ 4.5e-5, but the
   // local-max requirement and finite training average raise it slightly.

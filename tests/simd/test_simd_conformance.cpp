@@ -8,11 +8,13 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
 
 #include "ros/common/random.hpp"
+#include "ros/common/units.hpp"
 #include "ros/simd/simd.hpp"
 #include "ros/testkit/gen.hpp"
 
@@ -397,6 +399,185 @@ TEST(SimdConformance, FftButterflyWithinRelTol) {
         EXPECT_NEAR(b1[i].imag(), b0[i].imag(), rs::kButterflyRelTol * sb)
             << ops.name << " i=" << i;
       }
+    }
+  }
+}
+
+// --- awgn_acc: bit-identical on every backend ----------------------
+
+namespace {
+
+constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ull;
+
+const std::vector<std::size_t> kAwgnSizes = {0,   1,   2,   3,   4,   5,
+                                             255, 256, 257, 1000};
+const std::uint64_t kAwgnKeys[] = {0ull, 1ull, 0x243F6A8885A308D3ull,
+                                   ~0ull};
+// Counter bases: 0, an Rx offset, around 2^32, and two that wrap.
+const std::uint64_t kAwgnCounters[] = {0ull, 7ull * 256, 0xFFFFFFFFull,
+                                       (1ull << 63) + 5, ~0ull - 2};
+
+bool same_bits(const std::vector<cplx>& a, const std::vector<cplx>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0);
+}
+
+/// Non-zero accumulator base with a spread of magnitudes and signs.
+std::vector<cplx> awgn_base(std::size_t n, std::uint64_t salt) {
+  Rng rng(0xA5A5 + salt);
+  std::vector<cplx> out(n);
+  for (auto& z : out) {
+    z = {rng.uniform(-3.0, 3.0) * 1e-6, rng.uniform(0.5, 2.0)};
+  }
+  return out;
+}
+
+/// FNV-1a (64-bit) over the little-endian bytes of re then im.
+std::uint64_t fnv1a(const std::vector<cplx>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const cplx& z : v) {
+    for (double x : {z.real(), z.imag()}) {
+      std::uint64_t u;
+      std::memcpy(&u, &x, sizeof u);
+      for (int k = 0; k < 8; ++k) {
+        h ^= (u >> (8 * k)) & 0xFF;
+        h *= 0x100000001b3ull;
+      }
+    }
+  }
+  return h;
+}
+
+}  // namespace
+
+TEST(SimdConformance, AwgnAccBitIdenticalAcrossBackends) {
+  for (rs::Backend b : vector_backends()) {
+    const rs::Ops& ops = rs::backend_ops(b);
+    for (std::uint64_t key : kAwgnKeys) {
+      for (std::uint64_t c0 : kAwgnCounters) {
+        for (std::size_t n : kAwgnSizes) {
+          auto want = awgn_base(n, key ^ c0);
+          auto got = want;
+          ref().awgn_acc(want.data(), 0.7, key, c0, n);
+          ops.awgn_acc(got.data(), 0.7, key, c0, n);
+          EXPECT_TRUE(same_bits(want, got))
+              << ops.name << " key=" << key << " c0=" << c0 << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdConformance, AwgnAccSplitEqualsSingleCall) {
+  // Sample i is counter c0 + i whatever the call boundaries: one call
+  // over [0, n) equals two calls split at any point.
+  for (rs::Backend b : rs::available_backends()) {
+    const rs::Ops& ops = rs::backend_ops(b);
+    for (std::uint64_t c0 : kAwgnCounters) {
+      const std::size_t n = 67;
+      auto whole = awgn_base(n, c0);
+      const auto base = whole;
+      ops.awgn_acc(whole.data(), 1.3, 99, c0, n);
+      for (std::size_t k = 0; k <= n; ++k) {
+        auto split = base;
+        ops.awgn_acc(split.data(), 1.3, 99, c0, k);
+        ops.awgn_acc(split.data() + k, 1.3, 99, c0 + k, n - k);
+        EXPECT_TRUE(same_bits(whole, split))
+            << ops.name << " c0=" << c0 << " split at " << k;
+      }
+    }
+  }
+}
+
+TEST(SimdConformance, AwgnAccAddsValueIndependentOfAcc) {
+  // acc + noise == acc + (0 + noise): the synthesizer's single call and
+  // a tones-then-noise replay give the same cube. No output component
+  // is -0.0, so this holds for a -0.0 base too.
+  for (rs::Backend b : rs::available_backends()) {
+    const rs::Ops& ops = rs::backend_ops(b);
+    const std::size_t n = 1000;
+    auto acc = awgn_base(n, 3);
+    acc[0] = {-0.0, -0.0};
+    acc[1] = {0.0, -0.0};
+    acc[2] = {5e-324, -1e300};
+    std::vector<cplx> noise(n, cplx{0.0, 0.0});
+    auto want = acc;
+    ops.awgn_acc(acc.data(), 2e-7, 0xFEED, 512, n);
+    ops.awgn_acc(noise.data(), 2e-7, 0xFEED, 512, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (double x : {noise[i].real(), noise[i].imag()}) {
+        EXPECT_FALSE(x == 0.0 && std::signbit(x)) << ops.name << " i=" << i;
+      }
+      want[i] = {want[i].real() + noise[i].real(),
+                 want[i].imag() + noise[i].imag()};
+    }
+    EXPECT_TRUE(same_bits(acc, want)) << ops.name;
+  }
+}
+
+TEST(SimdConformance, AwgnAccMatchesItsDefinition) {
+  // Against the formula evaluated with ros::common::splitmix64 and libm:
+  // u1 from the high word, u2 from the low word, both Box–Muller outputs.
+  const rs::Ops& ops = ref();
+  const std::size_t n = 4096;
+  for (std::uint64_t key : kAwgnKeys) {
+    std::vector<cplx> got(n, cplx{0.0, 0.0});
+    ops.awgn_acc(got.data(), 1.0, key, 100, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t w =
+          ros::common::splitmix64(key + (100 + i) * kGamma);
+      const double u1 = (static_cast<double>(w >> 32) + 0.5) * 0x1p-32;
+      const double u2 =
+          static_cast<double>(static_cast<std::uint32_t>(w)) * 0x1p-32;
+      const double r = std::sqrt(-2.0 * std::log(u1));
+      const double th = 2.0 * ros::common::kPi * u2;
+      // |r| <= 6.77; polynomial log/sin/cos stay within a few ulp.
+      EXPECT_NEAR(got[i].real(), r * std::cos(th), 8e-15) << "i=" << i;
+      EXPECT_NEAR(got[i].imag(), r * std::sin(th), 8e-15) << "i=" << i;
+    }
+  }
+}
+
+TEST(SimdConformance, AwgnAccPinnedValues) {
+  // The first 8 samples of key 1 (counter 0, sigma 1), recorded from
+  // this implementation; every backend and target must reproduce them.
+  const double want[8][2] = {
+      {-0x1.0a3fea691519ap+0, -0x1.ded04c72eda89p-3},
+      {-0x1.386e3eabcd0bbp-1, 0x1.da03b74a67a6ep-2},
+      {0x1.ed625f4f843dp-3, -0x1.d37fe0a0a8363p-6},
+      {0x1.27a445b37c9a1p+0, -0x1.13098a35c9cacp-1},
+      {0x1.08660fccde5fp-1, -0x1.2a1ae2300e89dp+0},
+      {-0x1.5bb845b2ed2b3p-1, -0x1.21b3fb5a0e37bp-2},
+      {0x1.1a8db5d1e1758p-2, -0x1.b91bfdf8edabbp-2},
+      {0x1.06fd6107103e2p+0, 0x1.f66d097ec92bep-2},
+  };
+  for (rs::Backend b : rs::available_backends()) {
+    const rs::Ops& ops = rs::backend_ops(b);
+    std::vector<cplx> v(8, cplx{0.0, 0.0});
+    ops.awgn_acc(v.data(), 1.0, 1, 0, 8);
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_TRUE(bit_equal(v[i].real(), want[i][0]))
+          << ops.name << " re " << i << " = " << std::hexfloat << v[i].real();
+      EXPECT_TRUE(bit_equal(v[i].imag(), want[i][1]))
+          << ops.name << " im " << i << " = " << std::hexfloat << v[i].imag();
+    }
+  }
+}
+
+TEST(SimdConformance, AwgnAccDigests) {
+  // FNV-1a over 10^5 samples per key (counter 0, sigma 1, zero base).
+  const std::uint64_t keys[] = {1ull, 7919ull, 0xC0FFEE123456789Aull};
+  const std::uint64_t want[] = {0xA7C038D73ECDF7FDull, 0xEE4D121C40B613DFull,
+                                0x2C7A9FF5CA00DFAFull};
+  for (rs::Backend b : rs::available_backends()) {
+    const rs::Ops& ops = rs::backend_ops(b);
+    for (int k = 0; k < 3; ++k) {
+      std::vector<cplx> v(100000, cplx{0.0, 0.0});
+      ops.awgn_acc(v.data(), 1.0, keys[k], 0, v.size());
+      EXPECT_EQ(fnv1a(v), want[k])
+          << ops.name << " key " << keys[k] << " got 0x" << std::hex
+          << fnv1a(v);
     }
   }
 }
